@@ -24,6 +24,7 @@ from .errors import EstimationError
 from .factors import FactorFit
 from .panel import (
     ClusterPartition,
+    _freeze,
     load_matrix_csv,
     load_partition_csv,
     save_matrix_csv,
@@ -113,18 +114,12 @@ class StructuredCovariance:
         for arr, name in ((b, "loadings"), (sf, "factor_cov"), (sz, "cluster_cov"), (v, "idio_var")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "loadings", _frozen(b))
-        object.__setattr__(self, "factor_cov", _frozen(sf))
-        object.__setattr__(self, "cluster_cov", _frozen(sz))
-        object.__setattr__(self, "idio_var", _frozen(v))
+        object.__setattr__(self, "loadings", _freeze(b))
+        object.__setattr__(self, "factor_cov", _freeze(sf))
+        object.__setattr__(self, "cluster_cov", _freeze(sz))
+        object.__setattr__(self, "idio_var", _freeze(v))
         object.__setattr__(self, "series_names", tuple(self.series_names))
         object.__setattr__(self, "factor_names", tuple(self.factor_names))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -199,10 +194,10 @@ def assemble_from_structure(structured: StructuredCovariance) -> AssembledEstima
 
     return AssembledEstimate(
         structured=structured,
-        sigma=_frozen(sigma),
-        sigma_u=_frozen(sigma_u),
-        precision=_frozen(precision),
-        precision_u=_frozen(precision_u),
+        sigma=_freeze(sigma),
+        sigma_u=_freeze(sigma_u),
+        precision=_freeze(precision),
+        precision_u=_freeze(precision_u),
     )
 
 

@@ -33,6 +33,16 @@ def _apply_threads(n: int | None) -> None:
         os.environ[var] = str(n)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorcluster",
@@ -43,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="cap internal parallelism (default: machine parallelism); "

@@ -7,8 +7,9 @@ The dissimilarity between series i and j is
 where S is the uncentered residual covariance. Within a cluster the
 numerator vanishes for every probe l, so D_ij concentrates near zero;
 across clusters it stays bounded away from zero. A ratio rule on the
-sorted dissimilarities picks the merge threshold, and single-linkage
-agglomeration below that threshold recovers the groups.
+sorted dissimilarities picks the threshold gamma, and the groups are
+the connected components of the threshold graph with edges
+``{D_ij < gamma}``, which is the single-linkage cut at gamma.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import EstimationError
 from .panel import ClusterPartition, symmetrize
@@ -96,19 +99,20 @@ def scod_matrix(resid_cov: np.ndarray) -> np.ndarray:
         )
     # scale probe columns once: scaled[i, l] = S_il / sqrt(S_ll)
     scaled = s / np.sqrt(d)[None, :]
-    safe_vardiff = vardiff.copy()
-    np.fill_diagonal(safe_vardiff, 1.0)
-    sqrt_vardiff = np.sqrt(safe_vardiff)
-    out = np.empty((p, p), dtype=np.float64)
-    for i in range(p):
-        r = np.abs(scaled[i][None, :] - scaled)
+    out = np.zeros((p, p), dtype=np.float64)
+    buf = np.empty((p - 1, p), dtype=np.float64)
+    rows = np.arange(p - 1)
+    for i in range(p - 1):
+        # row k of r holds |S_il - S_jl| / sqrt(S_ll) for j = i + 1 + k
+        m = p - 1 - i
+        r = buf[:m]
+        np.subtract(scaled[i], scaled[i + 1 :], out=r)
+        np.abs(r, out=r)
         r[:, i] = -np.inf
-        np.fill_diagonal(r, -np.inf)
-        out[i] = r.max(axis=1) / sqrt_vardiff[i]
-    np.fill_diagonal(out, 0.0)
-    iu, ju = np.triu_indices(p, 1)
-    out[ju, iu] = out[iu, ju]
-    return out
+        r[rows[:m], rows[:m] + i + 1] = -np.inf
+        out[i, i + 1 :] = r.max(axis=1) / np.sqrt(vardiff[i, i + 1 :])
+    # mirror the upper triangle into the all-zero lower one
+    return out + out.T
 
 
 @dataclass(frozen=True)
@@ -176,14 +180,14 @@ def select_threshold(
 
 
 def cluster(scod: np.ndarray, gamma: float) -> ClusterPartition:
-    """Single-linkage agglomeration below a threshold.
+    """Single-linkage cut of the dissimilarities at a threshold.
 
-    Starting from singletons, repeatedly merge the pair of groups with
-    the smallest minimum pairwise dissimilarity, stopping as soon as
-    that minimum is >= ``gamma`` (merges use a strict ``<``). Among
-    tied pairs the one with the lexicographically smallest pair of
-    smallest original members merges first. The result equals the
-    connected components of the graph with edges ``{D_ij < gamma}``.
+    Series i and j share a cluster when a chain of pairs with
+    ``D < gamma`` (strict) links them, so the clusters are the
+    connected components of the threshold graph with edges
+    ``{D_ij < gamma}``; that is exactly the single-linkage dendrogram
+    cut below ``gamma`` (Gower & Ross 1969). Clusters are labelled by
+    their smallest member, as in ``ClusterPartition``.
 
     Parameters
     ----------
@@ -198,30 +202,8 @@ def cluster(scod: np.ndarray, gamma: float) -> ClusterPartition:
             f"merge threshold must be > 0, got {gamma}; "
             "the dissimilarities are degenerate"
         )
-    p = s.shape[0]
-    work = s.astype(np.float64, copy=True)
-    np.fill_diagonal(work, np.inf)
-    members: list[list[int] | None] = [[i] for i in range(p)]
-    remaining = p
-    while remaining > 1:
-        # row-major argmin over the symmetric matrix lands on the
-        # lexicographically smallest (i, j) with i < j among the ties
-        flat = int(np.argmin(work))
-        i, j = divmod(flat, p)
-        if not work[i, j] < gamma:
-            break
-        if i > j:
-            i, j = j, i
-        np.minimum(work[i], work[j], out=work[i])
-        work[:, i] = work[i]
-        work[i, i] = np.inf
-        work[j, :] = np.inf
-        work[:, j] = np.inf
-        members[i].extend(members[j])  # type: ignore[union-attr]
-        members[j] = None
-        remaining -= 1
-    groups = [g for g in members if g is not None]
-    return ClusterPartition.from_groups(groups, p)
+    _, labels = connected_components(csr_matrix(s < gamma), directed=False)
+    return ClusterPartition.from_labels(labels)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """Return a read-only float64 copy of ``a``."""
     out = np.array(a, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
@@ -173,7 +174,7 @@ class ClusterPartition:
         return a
 
 
-def _write_atomic(path: str, text: str) -> None:
+def write_text_atomic(path: str, text: str) -> None:
     """Write text to path via a temp file and rename, so readers never see partial output."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -186,11 +187,6 @@ def _write_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    """Public alias for atomic text-file writes used across the package."""
-    _write_atomic(path, text)
 
 
 def _fmt(x: float) -> str:
@@ -284,7 +280,7 @@ def save_panel_csv(panel: _Panel, path: str) -> None:
     lines = ["date," + ",".join(panel.names)]
     for t in range(panel.n_periods):
         lines.append(panel.times[t] + "," + ",".join(_fmt(v) for v in panel.values[t]))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
@@ -324,7 +320,7 @@ def save_matrix_csv(m: np.ndarray, path: str) -> None:
     if m.ndim != 2:
         raise ValueError(f"expected 1-D or 2-D array, got {m.ndim}-D")
     lines = [",".join(_fmt(v) for v in row) for row in m]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def save_partition_csv(partition: ClusterPartition, names, path: str) -> None:
@@ -338,7 +334,7 @@ def save_partition_csv(partition: ClusterPartition, names, path: str) -> None:
     lines = ["name,cluster_id"]
     for i, name in enumerate(names):
         lines.append(f"{name},{labels[i] + 1}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_partition_csv(path: str, names) -> ClusterPartition:

@@ -36,7 +36,7 @@ from .clustering import (
 )
 from .errors import EstimationError, FactorClusterError
 from .factors import fit_loadings
-from .panel import ClusterPartition, FactorPanel, ReturnsPanel, load_matrix_csv, symmetrize
+from .panel import ClusterPartition, FactorPanel, ReturnsPanel, _freeze, load_matrix_csv, symmetrize
 
 _PSD_TOL = -1e-10
 _REDRAW_CAP = 10_000
@@ -250,20 +250,14 @@ class DgpConfig:
                 raise ValueError(f"{name} must be symmetric")
             if np.linalg.eigvalsh(symmetrize(m))[0] < _PSD_TOL:
                 raise ValueError(f"{name} must be positive semidefinite")
-        object.__setattr__(self, "mu_b", _frozen(mu_b))
-        object.__setattr__(self, "mu_f", _frozen(mu_f))
+        object.__setattr__(self, "mu_b", _freeze(mu_b))
+        object.__setattr__(self, "mu_f", _freeze(mu_f))
         for name, (m, _) in mats.items():
-            object.__setattr__(self, name, _frozen(m))
+            object.__setattr__(self, name, _freeze(m))
 
     @property
     def n_factors(self) -> int:
         return self.mu_b.shape[0]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def default_config(
@@ -421,11 +415,11 @@ def generate(config: DgpConfig) -> SimulatedPanel:
         returns=ReturnsPanel(times, series, values),
         factors=FactorPanel(times, fac_names, f_path),
         truth=SimulationTruth(
-            loadings=_frozen(loadings),
+            loadings=_freeze(loadings),
             partition=partition,
-            idio_sd=_frozen(sd),
-            cluster_paths=_frozen(z_path),
-            idio_paths=_frozen(e_path),
+            idio_sd=_freeze(sd),
+            cluster_paths=_freeze(z_path),
+            idio_paths=_freeze(e_path),
             config=config,
         ),
     )
@@ -499,7 +493,9 @@ def run_experiment(
     against the true covariance are recorded (weighted quadratic norm,
     entrywise max norm, and operator-norm precision loss; the latter is
     left undefined for a numerically singular sample covariance).
-    Replication failures are counted per cell rather than aborting.
+    A replication that raises an estimation error or a
+    ``LinAlgError`` is counted under ``failures`` for its cell and
+    records none of its values; the grid carries on.
 
     Returns two rows per cell, estimator ``"cluster"`` then ``"sample"``.
     """
@@ -527,25 +523,33 @@ def run_experiment(
                 fit = fit_loadings(sim.returns, sim.factors)
                 pipe = run_clustering_pipeline(fit.residuals, delta=delta, c_q=c_q)
                 est = assemble(fit, pipe.partition)
-            except FactorClusterError:
+                diff = est.sigma - truth.sigma
+                cluster_loss = (
+                    weighted_quadratic_norm(diff, truth.sigma),
+                    max_norm(diff),
+                    operator_norm(est.precision - truth.precision),
+                )
+                scov = sample_cov(sim.returns.values)
+                sdiff = scov - truth.sigma
+                if np.linalg.eigvalsh(scov)[0] > 1e-10:
+                    sprec = symmetrize(np.linalg.solve(scov, np.eye(cell.p)))
+                    sample_prec_loss = operator_norm(sprec - truth.precision)
+                else:
+                    sample_prec_loss = math.nan
+                sample_loss = (
+                    weighted_quadratic_norm(sdiff, truth.sigma),
+                    max_norm(sdiff),
+                    sample_prec_loss,
+                )
+            except (FactorClusterError, np.linalg.LinAlgError):
+                # nothing is recorded until every loss of the replication exists
                 failures += 1
                 continue
             k_hits.append(1.0 if pipe.partition.n_clusters == cell.n_clusters else 0.0)
             aris.append(adjusted_rand_index(sim.truth.partition, pipe.partition))
-            diff = est.sigma - truth.sigma
-            metrics["cluster"]["wq"].append(weighted_quadratic_norm(diff, truth.sigma))
-            metrics["cluster"]["mx"].append(max_norm(diff))
-            metrics["cluster"]["pr"].append(operator_norm(est.precision - truth.precision))
-            scov = sample_cov(sim.returns.values)
-            sdiff = scov - truth.sigma
-            metrics["sample"]["wq"].append(weighted_quadratic_norm(sdiff, truth.sigma))
-            metrics["sample"]["mx"].append(max_norm(sdiff))
-            eigvals = np.linalg.eigvalsh(scov)
-            if eigvals[0] > 1e-10:
-                sprec = symmetrize(np.linalg.solve(scov, np.eye(cell.p)))
-                metrics["sample"]["pr"].append(operator_norm(sprec - truth.precision))
-            else:
-                metrics["sample"]["pr"].append(math.nan)
+            for name, losses in (("cluster", cluster_loss), ("sample", sample_loss)):
+                for key, value in zip(("wq", "mx", "pr"), losses):
+                    metrics[name][key].append(value)
             if progress is not None:
                 progress(cell, rep)
         for name in ("cluster", "sample"):

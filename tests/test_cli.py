@@ -273,3 +273,14 @@ def test_diagnose_bad_arguments_exit_2(panels, tmp_path):
 def test_no_subcommand_exits_2():
     result = run_cli()
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_threads_below_one_is_a_usage_error(value, capsys):
+    from factorcluster.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", value, "diagnose", "--returns", "r.csv",
+              "--factors", "f.csv", "--out", "out"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorcluster.errors import EstimationError
 from factorcluster.clustering import (
@@ -298,6 +300,57 @@ def test_cluster_rejects_nonpositive_gamma():
     d = symmetric_noise(np.random.default_rng(25), 4)
     with pytest.raises(EstimationError, match="> 0"):
         cluster(d, 0.0)
+
+
+# property tests: derandomized, so every run draws the same examples
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@st.composite
+def cov_and_permutation(draw):
+    p = draw(st.integers(3, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    perm = np.array(draw(st.permutations(range(p))))
+    return random_spd_cov(np.random.default_rng(seed), p), perm
+
+
+@PROPERTY
+@given(cov_and_permutation())
+def test_scod_is_permutation_equivariant(case):
+    s, perm = case
+    d = scod_matrix(s)
+    assert np.array_equal(scod_matrix(s[np.ix_(perm, perm)]), d[np.ix_(perm, perm)])
+
+
+@PROPERTY
+@given(cov_and_permutation(), st.floats(1e-3, 1e3))
+def test_scod_is_scale_invariant(case, c):
+    s, _ = case
+    assert np.allclose(scod_matrix(c * s), scod_matrix(s), rtol=1e-12, atol=0.0)
+
+
+@PROPERTY
+@given(cov_and_permutation())
+def test_scod_is_exactly_symmetric_with_zero_diagonal(case):
+    d = scod_matrix(case[0])
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+
+
+@PROPERTY
+@given(cov_and_permutation(), st.booleans(), st.floats(0.15, 1.0))
+def test_cluster_groups_same_series_after_permutation(case, ties, gamma):
+    s, perm = case
+    d = scod_matrix(s)
+    if ties:  # coarse values put ties at and around the threshold
+        d = np.round(d * 5) / 5
+        gamma = float(np.round(gamma * 5) / 5)
+    got = cluster(d[np.ix_(perm, perm)], gamma)
+    # position k of the permuted problem is series perm[k] of the original
+    mapped = ClusterPartition.from_groups(
+        [[int(perm[k]) for k in g] for g in got.groups], len(perm)
+    )
+    assert mapped == cluster(d, gamma)
 
 
 def test_pipeline_recovers_planted_partition():

@@ -270,6 +270,44 @@ def test_run_experiment_singular_sample_precision_left_empty():
     assert last[-2:] == ["", ""]
 
 
+def run_with_fault(monkeypatch, target):
+    """Three replications; the second raises LinAlgError inside ``target``."""
+    import factorcluster.simulation as simulation
+
+    original = getattr(simulation, target)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("singular matrix")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, target, flaky)
+    done = []
+    rows = run_experiment(
+        [ExperimentCell(60, 12, 3, "balanced")],
+        n_reps=3,
+        base_seed=2,
+        progress=lambda cell, rep: done.append(rep),
+    )
+    monkeypatch.undo()
+    return rows, done
+
+
+def test_run_experiment_counts_linalg_error_as_failure(monkeypatch):
+    rows, done = run_with_fault(monkeypatch, "assemble")
+    assert done == [0, 2]
+    assert [row.failures for row in rows] == [1, 1]
+    cluster_row, sample_row = rows
+    assert cluster_row.freq_correct_k in (0.0, 0.5, 1.0)
+    assert cluster_row.wq_mean is not None and sample_row.wq_mean is not None
+    # a fault after the cluster losses exist must leave the same record
+    late_rows, late_done = run_with_fault(monkeypatch, "sample_cov")
+    assert late_done == [0, 2]
+    assert late_rows == rows
+
+
 def test_experiment_csv_layout():
     rows = run_experiment([ExperimentCell(40, 9, 3, "balanced")], n_reps=2, base_seed=7)
     text = experiment_csv(rows)
