@@ -3,7 +3,7 @@
 The estimator proceeds in three stages: regress each series on
 observable factors, cluster the residuals by screened correlations of
 differences, and assemble a factor-plus-cluster-plus-diagonal
-covariance whose precision comes from low-dimensional Woodbury solves.
+covariance whose precision comes from one low-rank Woodbury solve.
 Also included: a seeded synthetic-panel generator with a Monte Carlo
 experiment runner, a rolling minimum-variance backtester, and
 row-sparsity diagnostics.

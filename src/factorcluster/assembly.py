@@ -2,15 +2,18 @@
 
 Given factor loadings B, factor covariance S_f, a partition with
 membership matrix A, cluster covariance S_z, and idiosyncratic
-variances S_e = diag(v), the assembled estimates are
+variances S_e = diag(v), the assembled estimate
 
-    Sigma_u = A S_z A' + S_e        Sigma = B S_f B' + Sigma_u
+    Sigma = B S_f B' + A S_z A' + S_e = L C L' + S_e,
+    L = [B | A],  C = blockdiag(S_f, S_z),
 
-with precisions obtained from two nested Sherman-Morrison-Woodbury
-steps so that only K x K and r x r systems are ever solved:
+is low rank plus diagonal, so one Woodbury identity gives its
+precision from a single (r + K) x (r + K) solve:
 
-    Sigma_u^-1 = S_e^-1 - S_e^-1 A (S_z^-1 + A' S_e^-1 A)^-1 A' S_e^-1
-    Sigma^-1   = Sigma_u^-1 - Sigma_u^-1 B (S_f^-1 + B' Sigma_u^-1 B)^-1 B' Sigma_u^-1
+    Sigma^-1 = S_e^-1 - W (I + C L' W)^-1 C W',   W = S_e^-1 L.
+
+The same identity with L = A and C = S_z gives Sigma_u^-1 for
+Sigma_u = A S_z A' + S_e.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import EstimationError
 from .factors import FactorFit
@@ -124,13 +128,38 @@ class StructuredCovariance:
 
 @dataclass(frozen=True)
 class AssembledEstimate:
-    """Dense covariance/precision estimates plus their structured form."""
+    """Dense covariance/precision estimates plus their structured form.
+
+    ``sigma_u`` and ``precision_u``, the covariance without the factor
+    layer and its inverse, are built from ``structured`` on access.
+    """
 
     structured: StructuredCovariance
     sigma: np.ndarray
-    sigma_u: np.ndarray
     precision: np.ndarray
-    precision_u: np.ndarray
+
+    @property
+    def sigma_u(self) -> np.ndarray:
+        return _freeze(_sigma_u(self.structured))
+
+    @property
+    def precision_u(self) -> np.ndarray:
+        st = self.structured
+        a = st.partition.membership.astype(np.float64)
+        return _freeze(_woodbury_inverse(st.idio_var, a, st.cluster_cov))
+
+
+def _sigma_u(structured: StructuredCovariance) -> np.ndarray:
+    a = structured.partition.membership.astype(np.float64)
+    return symmetrize(a @ structured.cluster_cov @ a.T) + np.diag(structured.idio_var)
+
+
+def _woodbury_inverse(v: np.ndarray, low: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """``(low core low' + diag(v))^-1`` from one solve the size of ``core``."""
+    inv_v = 1.0 / v
+    w = low * inv_v[:, None]
+    inner = np.eye(core.shape[0]) + core @ (low.T @ w)
+    return symmetrize(np.diag(inv_v) - w @ np.linalg.solve(inner, core @ w.T))
 
 
 def _check_conditioning(m: np.ndarray, what: str) -> None:
@@ -149,55 +178,30 @@ def assemble_from_structure(structured: StructuredCovariance) -> AssembledEstima
     ------
     EstimationError
         If any idiosyncratic variance falls below 1e-12 (message names
-        the series) or the factor/cluster covariances are numerically
-        singular.
+        the series, and says so when it is alone in its cluster) or the
+        factor/cluster covariances are numerically singular.
     """
     v = structured.idio_var
     if np.any(v < _MIN_IDIO_VAR):
         i = int(np.argmin(v))
+        alone = structured.partition.sizes[structured.partition.labels[i]] == 1
         raise EstimationError(
             f"idiosyncratic variance of series {structured.series_names[i]!r} "
             f"is {v[i]:.3g} (< {_MIN_IDIO_VAR:g}); series is explained exactly "
             "by the factors and cluster paths"
+            + ("; it is alone in its cluster, whose path is its own residual" if alone else "")
         )
     sz = structured.cluster_cov
     sf = structured.factor_cov
-    n_factors = sf.shape[0]
     _check_conditioning(sz, "cluster covariance")
-    if n_factors > 0:
+    if sf.shape[0] > 0:
         _check_conditioning(sf, "factor covariance")
     a = structured.partition.membership.astype(np.float64)
     b = structured.loadings
-    k = structured.partition.n_clusters
-
-    sigma_u = symmetrize(a @ sz @ a.T) + np.diag(v)
-    sigma = symmetrize(b @ sf @ b.T) + sigma_u
-
-    # K-dimensional Woodbury for Sigma_u^-1
-    inv_v = 1.0 / v
-    w = a * inv_v[:, None]  # S_e^-1 A
-    ata = np.zeros((k, k), dtype=np.float64)
-    np.fill_diagonal(ata, np.array([inv_v[list(g)].sum() for g in structured.partition.groups]))
-    sz_inv = np.linalg.solve(sz, np.eye(k))
-    inner_u = symmetrize(sz_inv) + ata
-    precision_u = np.diag(inv_v) - w @ np.linalg.solve(inner_u, w.T)
-    precision_u = symmetrize(precision_u)
-
-    # r-dimensional Woodbury for Sigma^-1
-    if n_factors > 0:
-        g = precision_u @ b
-        sf_inv = np.linalg.solve(sf, np.eye(n_factors))
-        inner = symmetrize(sf_inv) + symmetrize(b.T @ g)
-        precision = symmetrize(precision_u - g @ np.linalg.solve(inner, g.T))
-    else:
-        precision = precision_u
-
+    sigma = symmetrize(b @ sf @ b.T) + _sigma_u(structured)
+    precision = _woodbury_inverse(v, np.hstack([b, a]), block_diag(sf, sz))
     return AssembledEstimate(
-        structured=structured,
-        sigma=_freeze(sigma),
-        sigma_u=_freeze(sigma_u),
-        precision=_freeze(precision),
-        precision_u=_freeze(precision_u),
+        structured=structured, sigma=_freeze(sigma), precision=_freeze(precision)
     )
 
 

@@ -338,25 +338,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_threads(args.threads)
-    from .errors import EstimationError, FactorClusterError, PanelFormatError
+    from .errors import FactorClusterError, PanelFormatError
 
     try:
         return args.func(args)
-    except PanelFormatError as exc:
+    except (PanelFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FactorClusterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -87,19 +87,20 @@ def scod_matrix(resid_cov: np.ndarray) -> np.ndarray:
             f"nonpositive residual variance for series l={l} "
             f"(value {d[l]:.3g}); denominators require S_ll > 0"
         )
-    vardiff = d[:, None] + d[None, :] - 2.0 * s
-    off = vardiff + np.diag(np.full(p, np.inf))
-    if np.any(off <= 0.0):
-        i, j = map(int, np.argwhere(off <= 0.0)[0])
+    # out holds var(u_i - u_j) until row i of the loop overwrites its
+    # upper part with D_ij; the rest is cleared before mirroring
+    out = d[:, None] + d[None, :] - 2.0 * s
+    np.fill_diagonal(out, np.inf)
+    if np.any(out <= 0.0):
+        i, j = map(int, np.argwhere(out <= 0.0)[0])
         l = next(k for k in range(p) if k not in (i, j))
         raise EstimationError(
             f"nonpositive denominator for triple (i={i}, j={j}, l={l}): "
-            f"var(u_{i} - u_{j}) = {vardiff[i, j]:.3g} <= 0; "
+            f"var(u_{i} - u_{j}) = {out[i, j]:.3g} <= 0; "
             f"series {i} and {j} look numerically identical"
         )
     # scale probe columns once: scaled[i, l] = S_il / sqrt(S_ll)
     scaled = s / np.sqrt(d)[None, :]
-    out = np.zeros((p, p), dtype=np.float64)
     buf = np.empty((p - 1, p), dtype=np.float64)
     rows = np.arange(p - 1)
     for i in range(p - 1):
@@ -110,8 +111,9 @@ def scod_matrix(resid_cov: np.ndarray) -> np.ndarray:
         np.abs(r, out=r)
         r[:, i] = -np.inf
         r[rows[:m], rows[:m] + i + 1] = -np.inf
-        out[i, i + 1 :] = r.max(axis=1) / np.sqrt(vardiff[i, i + 1 :])
-    # mirror the upper triangle into the all-zero lower one
+        out[i, i + 1 :] = r.max(axis=1) / np.sqrt(out[i, i + 1 :])
+    out = np.triu(out, 1)
+    # mirror the upper triangle into the now all-zero lower one
     return out + out.T
 
 

@@ -140,6 +140,20 @@ def test_assembly_rejects_tiny_idio_variance():
         assemble_from_structure(bad)
 
 
+def test_singleton_cluster_failure_names_the_series():
+    # a singleton's cluster path is its own residual, leaving it no
+    # idiosyncratic variance
+    rng = np.random.default_rng(44)
+    t_len, p = 60, 6
+    times = tuple(f"2000-01-01T{k:05d}" for k in range(t_len))
+    f = rng.normal(size=(t_len, 1))
+    returns = ReturnsPanel(times, tuple(f"s{i}" for i in range(p)), rng.normal(size=(t_len, p)))
+    fit = fit_loadings(returns, FactorPanel(times, ("f1",), f))
+    part = ClusterPartition.from_groups([(0, 1, 2), (3,), (4, 5)], p)
+    with pytest.raises(EstimationError, match="series 's3'.*alone in its cluster"):
+        assemble(fit, part)
+
+
 def test_assembly_rejects_singular_cluster_cov():
     structured = random_structure(np.random.default_rng(35), 8, 2, 1)
     bad = StructuredCovariance(

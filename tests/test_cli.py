@@ -284,3 +284,25 @@ def test_threads_below_one_is_a_usage_error(value, capsys):
               "--factors", "f.csv", "--out", "out"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_estimate_out_of_range_cq_exits_2(panels, tmp_path, capsys):
+    from factorcluster.cli import main
+
+    returns_path, factors_path = panels
+    code = main(["estimate", "--returns", returns_path, "--factors", factors_path,
+                 "--out", str(tmp_path / "out"), "--cq", "1.5"])
+    assert code == 2
+    assert "c_q must be in (0, 1]" in capsys.readouterr().err
+
+
+def test_estimate_out_naming_a_file_exits_2(panels, tmp_path, capsys):
+    from factorcluster.cli import main
+
+    returns_path, factors_path = panels
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["estimate", "--returns", returns_path, "--factors", factors_path,
+                 "--out", str(taken)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

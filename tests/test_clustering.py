@@ -191,6 +191,21 @@ def test_scod_rejects_identical_series():
         scod_matrix(s)
 
 
+def test_scod_duplicate_series_message_names_the_triple():
+    # series 2 and 4 are exact copies; the first bad pair is (2, 4) and
+    # the first probe outside it is series 0
+    rng = np.random.default_rng(24)
+    s = random_spd_cov(rng, 6)
+    s[4, :] = s[2, :]
+    s[:, 4] = s[:, 2]
+    with pytest.raises(EstimationError) as exc:
+        scod_matrix(s)
+    assert str(exc.value) == (
+        "nonpositive denominator for triple (i=2, j=4, l=0): "
+        "var(u_2 - u_4) = 0 <= 0; series 2 and 4 look numerically identical"
+    )
+
+
 def scod_from_values(p, vals):
     m = np.zeros((p, p))
     iu = np.triu_indices(p, 1)
