@@ -139,10 +139,13 @@ def _load_panels(returns_path: str, factors_path: str):
     return align(returns, factors)
 
 
-def _cq(value):
-    from .clustering import DEFAULT_CQ
+def _rule(args) -> tuple[float, float]:
+    """The threshold rule's ``(delta, c_q)`` from the flags, checked before any work."""
+    from .clustering import DEFAULT_CQ, _check_rule
 
-    return DEFAULT_CQ if value is None else value
+    c_q = DEFAULT_CQ if args.cq is None else args.cq
+    _check_rule(args.delta, c_q)
+    return args.delta, c_q
 
 
 def cmd_estimate(args) -> int:
@@ -151,12 +154,13 @@ def cmd_estimate(args) -> int:
     from .factors import fit_loadings
     from .panel import save_matrix_csv, write_text_atomic
 
+    delta, c_q = _rule(args)
+    os.makedirs(args.out, exist_ok=True)
     returns, factors = _load_panels(args.returns, args.factors)
     fit = fit_loadings(returns, factors)
-    pipe = run_clustering_pipeline(fit.residuals, delta=args.delta, c_q=_cq(args.cq))
+    pipe = run_clustering_pipeline(fit.residuals, delta=delta, c_q=c_q)
     est = assemble(fit, pipe.partition)
 
-    os.makedirs(args.out, exist_ok=True)
     save_bundle(est.structured, args.out)
     save_matrix_csv(est.sigma, os.path.join(args.out, "sigma.csv"))
     save_matrix_csv(est.precision, os.path.join(args.out, "precision.csv"))
@@ -197,6 +201,7 @@ def cmd_simulate(args) -> int:
         run_experiment,
     )
 
+    delta, c_q = _rule(args)
     explicit_dims = [args.p, args.clusters, args.periods]
     if args.config is not None and any(v is not None for v in explicit_dims):
         print("error: pass either --config or explicit dimensions, not both", file=sys.stderr)
@@ -252,7 +257,7 @@ def cmd_simulate(args) -> int:
 
     if not args.skip_experiment:
         rows = run_experiment(
-            cells, n_reps=reps, base_seed=args.seed, delta=args.delta, c_q=_cq(args.cq)
+            cells, n_reps=reps, base_seed=args.seed, delta=delta, c_q=c_q
         )
         table = experiment_csv(rows)
         write_text_atomic(os.path.join(args.out, "experiment_results.csv"), table)
@@ -270,25 +275,22 @@ def cmd_backtest(args) -> int:
         report_weights_csv,
     )
 
+    delta, c_q = _rule(args)
+    config = BacktestConfig(
+        train_window=args.window,
+        rebalance_every=args.rebalance,
+        estimator=args.estimator,
+        scheme=args.scheme,
+        delta=delta,
+        c_q=c_q,
+        annualization=args.annualization,
+        inputs_in_percent=args.percent,
+    )
+    os.makedirs(args.out, exist_ok=True)
     returns, factors = _load_panels(args.returns, args.factors)
-    try:
-        config = BacktestConfig(
-            train_window=args.window,
-            rebalance_every=args.rebalance,
-            estimator=args.estimator,
-            scheme=args.scheme,
-            delta=args.delta,
-            c_q=_cq(args.cq),
-            annualization=args.annualization,
-            inputs_in_percent=args.percent,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     report = backtest(
         returns, factors, config, test_start=args.test_start, test_end=args.test_end
     )
-    os.makedirs(args.out, exist_ok=True)
     write_text_atomic(os.path.join(args.out, "backtest_series.csv"), report_series_csv(report))
     write_text_atomic(os.path.join(args.out, "backtest_summary.csv"), report_summary_csv(report))
     write_text_atomic(os.path.join(args.out, "backtest_weights.csv"), report_weights_csv(report))
@@ -306,6 +308,7 @@ def cmd_diagnose(args) -> int:
     from .factors import fit_loadings
     from .panel import write_text_atomic
 
+    os.makedirs(args.out, exist_ok=True)
     returns, factors = _load_panels(args.returns, args.factors)
     fit = fit_loadings(returns, factors)
     p = returns.n_series
@@ -322,12 +325,7 @@ def cmd_diagnose(args) -> int:
     except ValueError:
         print(f"error: bad --kappas {args.kappas!r}", file=sys.stderr)
         return 2
-    try:
-        report = sparsity_scan(fit.residuals, grid, kappas, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    os.makedirs(args.out, exist_ok=True)
+    report = sparsity_scan(fit.residuals, grid, kappas, seed=args.seed)
     table = sparsity_csv(report)
     write_text_atomic(os.path.join(args.out, "sparsity.csv"), table)
     print(table, end="")

@@ -138,6 +138,14 @@ class ThresholdSelection:
         object.__setattr__(self, "sorted_values", v)
 
 
+def _check_rule(delta: float, c_q: float) -> None:
+    """Reject threshold-rule parameters outside their domains."""
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0.0 < c_q <= 1.0:
+        raise ValueError(f"c_q must be in (0, 1], got {c_q}")
+
+
 def select_threshold(
     scod: np.ndarray,
     delta: float = DEFAULT_DELTA,
@@ -160,10 +168,7 @@ def select_threshold(
         Search-range fraction in (0, 1].
     """
     s = _check_scod_input(np.asarray(scod), 3)
-    if not delta >= 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if not 0.0 < c_q <= 1.0:
-        raise ValueError(f"c_q must be in (0, 1], got {c_q}")
+    _check_rule(delta, c_q)
     p = s.shape[0]
     iu, ju = np.triu_indices(p, 1)
     values = np.sort(s[iu, ju])[::-1]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import residual_cov
+from .panel import _format_rows
 
 
 def m_p(sigma_u: np.ndarray, kappa: float) -> float:
@@ -97,8 +98,8 @@ def sparsity_scan(
 
 def sparsity_csv(report: SparsityReport) -> str:
     """Render a report as ``p,kappa,ratio`` rows, grid-major."""
-    lines = ["p,kappa,ratio"]
-    for gi, sub_p in enumerate(report.p_grid):
-        for ki, kappa in enumerate(report.kappas):
-            lines.append(f"{sub_p},{'%.17g' % kappa},{'%.17g' % report.ratios[gi, ki]}")
+    kappas = np.tile(report.kappas, len(report.p_grid))
+    labels = [sub_p for sub_p in report.p_grid for _ in report.kappas]
+    values = np.column_stack([kappas, report.ratios.ravel()])
+    lines = ["p,kappa,ratio"] + _format_rows(values, labels)
     return "\n".join(lines) + "\n"

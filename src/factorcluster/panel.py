@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import PanelFormatError
 
-_FLOAT_FMT = "%.17g"  # round-trips float64 exactly
-
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Return ``(m + m.T) / 2``, which is exactly symmetric elementwise."""
@@ -189,8 +187,19 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT_FMT % x
+def _format_rows(values: np.ndarray, labels=None) -> list[str]:
+    """Render a float matrix as CSV lines, one per row, at full precision.
+
+    This is the package's one numeric CSV format: ``%.17g`` round-trips
+    float64 exactly. When ``labels`` are given, each line is led by its
+    label, which is written as is.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    fmt = ",".join(["%.17g"] * values.shape[1])
+    if labels is None:
+        return [fmt % tuple(row) for row in values]
+    fmt = "%s," + fmt
+    return [fmt % (label, *row) for label, row in zip(labels, values)]
 
 
 def _read_rows(path: str) -> list[list[str]]:
@@ -201,6 +210,36 @@ def _read_rows(path: str) -> list[list[str]]:
         raise PanelFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise PanelFormatError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
+def _parse_block(path: str, cells: list[list[str]], row0: int, col0: int) -> np.ndarray:
+    """Convert a rectangular block of cells to a finite float64 array.
+
+    One ``np.array`` call converts the whole block; it accepts exactly the
+    strings ``float`` accepts. Only when it fails, or yields a non-finite
+    value, are the cells scanned to name the first bad one by its 1-based
+    file row and column (the block's first cell is at ``row0``, ``col0``).
+    """
+    try:
+        data = np.array(cells, dtype=np.float64)
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(data).all():
+            return data
+    for r, row in enumerate(cells, start=row0):
+        for c, cell in enumerate(row, start=col0):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise PanelFormatError(
+                    f"{path}: non-numeric cell {cell!r} (row {r}, column {c})"
+                ) from None
+            if not math.isfinite(v):
+                raise PanelFormatError(
+                    f"{path}: non-finite cell {cell!r} (row {r}, column {c})"
+                )
+    raise AssertionError("np.array rejected a block that float accepts cell by cell")
 
 
 def load_panel_csv(path: str, kind: str = "returns") -> _Panel:
@@ -242,44 +281,27 @@ def load_panel_csv(path: str, kind: str = "returns") -> _Panel:
         dup = sorted({n for n in names if names.count(n) > 1})
         raise PanelFormatError(f"{path}: duplicate column names {dup} (row 1)")
     times: list[str] = []
-    data: list[list[float]] = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise PanelFormatError(
                 f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
             )
-        date = row[0]
-        if times and not times[-1] < date:
+        if times and not times[-1] < row[0]:
             raise PanelFormatError(
                 f"{path}: dates must strictly increase, "
-                f"{times[-1]!r} !< {date!r} (row {r}, column 1)"
+                f"{times[-1]!r} !< {row[0]!r} (row {r}, column 1)"
             )
-        vals = []
-        for c, cell in enumerate(row[1:], start=2):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise PanelFormatError(
-                    f"{path}: non-numeric cell {cell!r} (row {r}, column {c})"
-                ) from None
-            if not math.isfinite(v):
-                raise PanelFormatError(
-                    f"{path}: non-finite cell {cell!r} (row {r}, column {c})"
-                )
-            vals.append(v)
-        times.append(date)
-        data.append(vals)
+        times.append(row[0])
     if len(times) < 2:
         raise PanelFormatError(f"{path}: panel needs at least 2 data rows, got {len(times)}")
+    values = _parse_block(path, [row[1:] for row in rows[1:]], 2, 2)
     cls = ReturnsPanel if kind == "returns" else FactorPanel
-    return cls(tuple(times), tuple(names), np.asarray(data, dtype=np.float64))
+    return cls(tuple(times), tuple(names), values)
 
 
 def save_panel_csv(panel: _Panel, path: str) -> None:
     """Write a panel to CSV with full float precision; values round-trip bitwise."""
-    lines = ["date," + ",".join(panel.names)]
-    for t in range(panel.n_periods):
-        lines.append(panel.times[t] + "," + ",".join(_fmt(v) for v in panel.values[t]))
+    lines = ["date," + ",".join(panel.names)] + _format_rows(panel.values, panel.times)
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -289,27 +311,12 @@ def load_matrix_csv(path: str) -> np.ndarray:
     if not rows:
         raise PanelFormatError(f"{path}: file is empty")
     width = len(rows[0])
-    data = []
     for r, row in enumerate(rows, start=1):
         if len(row) != width:
             raise PanelFormatError(
                 f"{path}: row {r} has {len(row)} cells, expected {width}"
             )
-        vals = []
-        for c, cell in enumerate(row, start=1):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise PanelFormatError(
-                    f"{path}: non-numeric cell {cell!r} (row {r}, column {c})"
-                ) from None
-            if not math.isfinite(v):
-                raise PanelFormatError(
-                    f"{path}: non-finite cell {cell!r} (row {r}, column {c})"
-                )
-            vals.append(v)
-        data.append(vals)
-    return np.asarray(data, dtype=np.float64)
+    return _parse_block(path, rows, 1, 1)
 
 
 def save_matrix_csv(m: np.ndarray, path: str) -> None:
@@ -319,8 +326,7 @@ def save_matrix_csv(m: np.ndarray, path: str) -> None:
         m = m[:, None]
     if m.ndim != 2:
         raise ValueError(f"expected 1-D or 2-D array, got {m.ndim}-D")
-    lines = [",".join(_fmt(v) for v in row) for row in m]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(_format_rows(m)) + "\n")
 
 
 def save_partition_csv(partition: ClusterPartition, names, path: str) -> None:

@@ -18,7 +18,7 @@ from .assembly import assemble, operator_norm, sample_cov, symmetrize
 from .clustering import DEFAULT_CQ, DEFAULT_DELTA, run_clustering_pipeline
 from .errors import EstimationError
 from .factors import fit_loadings
-from .panel import FactorPanel, ReturnsPanel, align
+from .panel import FactorPanel, ReturnsPanel, _format_rows, align
 
 _KKT_TOL = 1e-9
 _MAX_ITER = 100_000
@@ -337,28 +337,18 @@ def backtest(
 
 def report_series_csv(report: BacktestReport) -> str:
     """Per-day CSV: date, portfolio return, running cumulative return."""
-    lines = ["date,portfolio_return,cumulative_return"]
-    for i, date in enumerate(report.dates):
-        lines.append(
-            f"{date},{'%.17g' % report.daily_returns[i]},{'%.17g' % report.cumulative[i]}"
-        )
+    values = np.column_stack([report.daily_returns, report.cumulative])
+    lines = ["date,portfolio_return,cumulative_return"] + _format_rows(values, report.dates)
     return "\n".join(lines) + "\n"
 
 
 def report_summary_csv(report: BacktestReport) -> str:
     """One-row CSV with the annualized performance statistics."""
+    config = report.config
+    label = f"{config.estimator},{config.scheme},{len(report.dates)}"
     lines = [
         "estimator,scheme,n_days,annualized_return,annualized_volatility,information_ratio",
-        ",".join(
-            [
-                report.config.estimator,
-                report.config.scheme,
-                str(len(report.dates)),
-                "%.17g" % report.av,
-                "%.17g" % report.sd,
-                "%.17g" % report.ir,
-            ]
-        ),
+        *_format_rows([[report.av, report.sd, report.ir]], [label]),
     ]
     return "\n".join(lines) + "\n"
 
@@ -366,6 +356,5 @@ def report_summary_csv(report: BacktestReport) -> str:
 def report_weights_csv(report: BacktestReport) -> str:
     """Rebalance-day weight vectors, one dated row per rebalance."""
     lines = ["date," + ",".join(report.series_names)]
-    for i, date in enumerate(report.weights_dates):
-        lines.append(date + "," + ",".join("%.17g" % v for v in report.weights[i]))
+    lines += _format_rows(report.weights, report.weights_dates)
     return "\n".join(lines) + "\n"

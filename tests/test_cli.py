@@ -306,3 +306,24 @@ def test_estimate_out_naming_a_file_exits_2(panels, tmp_path, capsys):
                  "--out", str(taken)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_estimate_rejects_out_naming_a_file_before_reading(tmp_path, capsys):
+    from factorcluster.cli import main
+
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    missing = str(tmp_path / "missing.csv")
+    code = main(["estimate", "--returns", missing, "--factors", missing, "--out", str(taken)])
+    assert code == 2
+    assert str(taken) in capsys.readouterr().err
+
+
+def test_estimate_rejects_cq_before_reading(tmp_path, capsys):
+    from factorcluster.cli import main
+
+    missing = str(tmp_path / "missing.csv")
+    code = main(["estimate", "--returns", missing, "--factors", missing,
+                 "--out", str(tmp_path / "out"), "--cq", "1.5"])
+    assert code == 2
+    assert "c_q must be in (0, 1]" in capsys.readouterr().err

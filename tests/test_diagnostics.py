@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from factorcluster.clustering import residual_cov
-from factorcluster.diagnostics import m_p, sparsity_csv, sparsity_scan
+from factorcluster.diagnostics import SparsityReport, m_p, sparsity_csv, sparsity_scan
 
 
 def m_p_oracle(sigma, kappa):
@@ -105,3 +105,16 @@ def test_sparsity_csv_layout():
     assert lines[3].startswith("4,0,")
     parsed = float(lines[1].split(",")[2])
     assert parsed == report.ratios[0, 0]
+
+
+def test_sparsity_csv_exact_text():
+    report = SparsityReport(
+        p_grid=(4, 12), kappas=(0.0, 0.25), ratios=np.array([[1.0, 0.1], [2 / 3, 1e-300]]), seed=0
+    )
+    assert sparsity_csv(report) == (
+        "p,kappa,ratio\n"
+        "4,0,1\n"
+        "4,0.25,0.10000000000000001\n"
+        "12,0,0.66666666666666663\n"
+        "12,0.25,1e-300\n"
+    )

@@ -265,3 +265,53 @@ def test_align_requires_two_shared_dates():
     f = FactorPanel(("2000-01-02", "2000-01-03"), ("f1",), np.zeros((2, 1)))
     with pytest.raises(PanelFormatError, match="share only 1"):
         align(r, f)
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_save_matrix_csv_exact_bytes(tmp_path):
+    path = str(tmp_path / "m.csv")
+    save_matrix_csv(np.array([[-0.0, 5e-324, 1e300], [0.1, 1 / 3, 200.0]]), path)
+    assert read_bytes(path) == (
+        b"-0,4.9406564584124654e-324,1.0000000000000001e+300\n"
+        b"0.10000000000000001,0.33333333333333331,200\n"
+    )
+    save_matrix_csv(np.array([1e-7, -2.5]), path)
+    assert read_bytes(path) == b"9.9999999999999995e-08\n-2.5\n"
+
+
+def test_save_panel_csv_exact_bytes(tmp_path):
+    panel = ReturnsPanel(
+        ("2000-01-03", "2000-01-04"), ("a", "b"), np.array([[0.1, -1e-5], [2.0, 1e16]])
+    )
+    path = str(tmp_path / "p.csv")
+    save_panel_csv(panel, path)
+    assert read_bytes(path) == (
+        b"date,a,b\n"
+        b"2000-01-03,0.10000000000000001,-1.0000000000000001e-05\n"
+        b"2000-01-04,2,10000000000000000\n"
+    )
+
+
+def test_load_panel_rejects_empty_cell(tmp_path):
+    path = str(tmp_path / "bad.csv")
+    write_text_atomic(path, "date,a,b\n2000-01-01,1.0,2.0\n2000-01-02,,2.0\n")
+    with pytest.raises(PanelFormatError, match=r"non-numeric cell '' \(row 3, column 2\)"):
+        load_panel_csv(path)
+
+
+def test_matrix_csv_rejects_non_numeric_cell(tmp_path):
+    path = str(tmp_path / "bad.csv")
+    write_text_atomic(path, "1.0,2.0\n3.0,x\n")
+    with pytest.raises(PanelFormatError, match=r"non-numeric cell 'x' \(row 2, column 2\)"):
+        load_matrix_csv(path)
+
+
+def test_matrix_csv_rejects_non_finite_cell(tmp_path):
+    path = str(tmp_path / "bad.csv")
+    write_text_atomic(path, "1.0,2.0\nnan,4.0\n")
+    with pytest.raises(PanelFormatError, match=r"non-finite cell 'nan' \(row 2, column 1\)"):
+        load_matrix_csv(path)

@@ -9,6 +9,7 @@ from factorcluster.errors import EstimationError
 from factorcluster.panel import FactorPanel, ReturnsPanel
 from factorcluster.portfolio import (
     BacktestConfig,
+    BacktestReport,
     backtest,
     min_var_long_only,
     min_var_unconstrained,
@@ -277,3 +278,29 @@ def test_report_csvs_shapes_and_headers():
     weights = report_weights_csv(report).splitlines()
     assert weights[0] == "date,A0,A1"
     assert len(weights) == 1 + len(report.weights_dates)
+
+
+def test_report_csvs_exact_bytes():
+    report = BacktestReport(
+        config=BacktestConfig(train_window=2, rebalance_every=2, estimator="sample", scheme="long_only"),
+        dates=("2000-01-05", "2000-01-06", "2000-01-07"),
+        daily_returns=np.array([0.1, -0.2, 1 / 3]),
+        cumulative=np.cumsum([0.1, -0.2, 1 / 3]),
+        weights_dates=("2000-01-05", "2000-01-07"),
+        weights=np.array([[0.25, 0.75], [1.0, -0.0]]),
+        series_names=("a", "b"),
+        av=12.5,
+        sd=0.0,
+        ir=float("nan"),
+    )
+    assert report_series_csv(report) == (
+        "date,portfolio_return,cumulative_return\n"
+        "2000-01-05,0.10000000000000001,0.10000000000000001\n"
+        "2000-01-06,-0.20000000000000001,-0.10000000000000001\n"
+        "2000-01-07,0.33333333333333331,0.23333333333333331\n"
+    )
+    assert report_weights_csv(report) == "date,a,b\n2000-01-05,0.25,0.75\n2000-01-07,1,-0\n"
+    assert report_summary_csv(report) == (
+        "estimator,scheme,n_days,annualized_return,annualized_volatility,information_ratio\n"
+        "sample,long_only,3,12.5,0,nan\n"
+    )
