@@ -148,6 +148,14 @@ def _rule(args) -> tuple[float, float]:
     return args.delta, c_q
 
 
+def _number_list(text: str, kind, flag: str) -> list:
+    """Parse a comma-separated flag value; a bad entry is a usage error naming the flag."""
+    try:
+        return [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"bad {flag} {text!r}") from None
+
+
 def cmd_estimate(args) -> int:
     from .assembly import assemble, save_bundle
     from .clustering import run_clustering_pipeline
@@ -204,20 +212,20 @@ def cmd_simulate(args) -> int:
     delta, c_q = _rule(args)
     explicit_dims = [args.p, args.clusters, args.periods]
     if args.config is not None and any(v is not None for v in explicit_dims):
-        print("error: pass either --config or explicit dimensions, not both", file=sys.stderr)
-        return 2
+        raise ValueError("pass either --config or explicit dimensions, not both")
+    reps = DEFAULT_REPS if args.reps is None else args.reps
+    if reps < 1:
+        raise ValueError("--reps must be >= 1")
     if args.config is not None:
         try:
             base = load_config_file(args.config)
         except FactorClusterError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(str(exc)) from exc
         base = replace(base, seed=args.seed) if args.seed != 0 else base
         cells = (ExperimentCell(base.n_periods, base.p, base.n_clusters, base.mode),)
     elif any(v is not None for v in explicit_dims):
         if not all(v is not None for v in explicit_dims):
-            print("error: --p, --clusters, --periods must be given together", file=sys.stderr)
-            return 2
+            raise ValueError("--p, --clusters, --periods must be given together")
         base = default_config(
             p=args.p,
             n_clusters=args.clusters,
@@ -237,10 +245,6 @@ def cmd_simulate(args) -> int:
             mode=first.mode,
         )
 
-    reps = DEFAULT_REPS if args.reps is None else args.reps
-    if reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return 2
     os.makedirs(args.out, exist_ok=True)
     for rep in range(reps):
         config = replace(base, seed=replication_seed(args.seed, rep))
@@ -308,23 +312,14 @@ def cmd_diagnose(args) -> int:
     from .factors import fit_loadings
     from .panel import write_text_atomic
 
+    grid = None if args.p_grid is None else _number_list(args.p_grid, int, "--p-grid")
+    kappas = _number_list(args.kappas, float, "--kappas")
     os.makedirs(args.out, exist_ok=True)
     returns, factors = _load_panels(args.returns, args.factors)
     fit = fit_loadings(returns, factors)
-    p = returns.n_series
-    if args.p_grid is None:
+    if grid is None:
+        p = returns.n_series
         grid = sorted({max(1, round(p * frac)) for frac in (0.25, 0.5, 0.75, 1.0)})
-    else:
-        try:
-            grid = [int(v) for v in args.p_grid.split(",") if v.strip()]
-        except ValueError:
-            print(f"error: bad --p-grid {args.p_grid!r}", file=sys.stderr)
-            return 2
-    try:
-        kappas = [float(v) for v in args.kappas.split(",") if v.strip()]
-    except ValueError:
-        print(f"error: bad --kappas {args.kappas!r}", file=sys.stderr)
-        return 2
     report = sparsity_scan(fit.residuals, grid, kappas, seed=args.seed)
     table = sparsity_csv(report)
     write_text_atomic(os.path.join(args.out, "sparsity.csv"), table)

@@ -101,5 +101,5 @@ def sparsity_csv(report: SparsityReport) -> str:
     kappas = np.tile(report.kappas, len(report.p_grid))
     labels = [sub_p for sub_p in report.p_grid for _ in report.kappas]
     values = np.column_stack([kappas, report.ratios.ravel()])
-    lines = ["p,kappa,ratio"] + _format_rows(values, labels)
+    lines = ["p,kappa,ratio", *_format_rows(values, labels)]
     return "\n".join(lines) + "\n"

@@ -9,11 +9,14 @@ cell is ``date``, matrices are headerless and dense.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -172,14 +175,18 @@ class ClusterPartition:
         return a
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text to path via a temp file and rename, so readers never see partial output."""
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator[TextIO]:
+    """A temp file beside ``path``, renamed onto it when the block succeeds.
+
+    Readers never see partial output; on any error the temp file is removed.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -187,19 +194,26 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _format_rows(values: np.ndarray, labels=None) -> list[str]:
-    """Render a float matrix as CSV lines, one per row, at full precision.
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text to path via a temp file and rename, so readers never see partial output."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
+def _format_rows(values: np.ndarray, labels=None) -> Iterator[str]:
+    """Yield a float matrix as CSV lines, one per row, at full precision.
 
     This is the package's one numeric CSV format: ``%.17g`` round-trips
     float64 exactly. When ``labels`` are given, each line is led by its
-    label, which is written as is.
+    label, which is written as is. Lines are made one at a time, so a
+    writer can stream them to a file.
     """
     values = np.asarray(values, dtype=np.float64)
     fmt = ",".join(["%.17g"] * values.shape[1])
     if labels is None:
-        return [fmt % tuple(row) for row in values]
+        return (fmt % tuple(row) for row in values)
     fmt = "%s," + fmt
-    return [fmt % (label, *row) for label, row in zip(labels, values)]
+    return (fmt % (label, *row) for label, row in zip(labels, values))
 
 
 def _read_rows(path: str) -> list[list[str]]:
@@ -301,8 +315,10 @@ def load_panel_csv(path: str, kind: str = "returns") -> _Panel:
 
 def save_panel_csv(panel: _Panel, path: str) -> None:
     """Write a panel to CSV with full float precision; values round-trip bitwise."""
-    lines = ["date," + ",".join(panel.names)] + _format_rows(panel.values, panel.times)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    with _atomic_file(path) as fh:
+        fh.write("date," + ",".join(panel.names) + "\n")
+        for line in _format_rows(panel.values, panel.times):
+            fh.write(line + "\n")
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
@@ -326,7 +342,9 @@ def save_matrix_csv(m: np.ndarray, path: str) -> None:
         m = m[:, None]
     if m.ndim != 2:
         raise ValueError(f"expected 1-D or 2-D array, got {m.ndim}-D")
-    write_text_atomic(path, "\n".join(_format_rows(m)) + "\n")
+    with _atomic_file(path) as fh:
+        for line in _format_rows(m):
+            fh.write(line + "\n")
 
 
 def save_partition_csv(partition: ClusterPartition, names, path: str) -> None:

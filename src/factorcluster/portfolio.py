@@ -2,8 +2,10 @@
 
 The unconstrained weights are ``Sigma^{-1} 1 / (1' Sigma^{-1} 1)``; the
 long-only variant minimizes ``w' Sigma w`` over the probability simplex
-with an accelerated projected-gradient solver plus an active-set
-polish. Backtests rebalance on a rolling window with no lookahead:
+with accelerated projected gradient, which every 10 iterations solves
+the equality-constrained problem exactly on the current support and
+stops at the first such solution that meets the KKT conditions.
+Backtests rebalance on a rolling window with no lookahead:
 the window for a test day ends strictly before that day.
 """
 
@@ -76,12 +78,16 @@ def min_var_long_only(
 ) -> np.ndarray:
     """Long-only minimum-variance weights on the simplex.
 
-    Accelerated projected gradient with step ``1/L``,
-    ``L = operator_norm(2 Sigma)``, run until the KKT residual falls
-    below ``tol * scale`` (scale = max(1, |grad|_inf)), then polished by
-    an equality-constrained solve on the detected support. If the
-    unconstrained solution is already nonnegative (within 1e-6) it is
-    clipped, renormalized, and returned directly.
+    If the unconstrained solution is already nonnegative (within 1e-6)
+    it is clipped, renormalized, and returned directly. Otherwise
+    accelerated projected gradient runs with step ``1/L``,
+    ``L = operator_norm(2 Sigma)``; every 10 iterations, when the
+    support ``{w > 0}`` has changed, the equality-constrained problem is
+    solved exactly on it, and the first nonnegative solution whose KKT
+    residual is below ``tol * scale`` (scale = max(1, |grad|_inf)) is
+    returned. If the iterate meets that tolerance first, the exact solve
+    is tried on its support (entries below ``1e-10 * max(w)`` dropped)
+    and the iterate is returned only when that fails.
 
     Raises
     ------
@@ -101,6 +107,21 @@ def min_var_long_only(
     def scaled_resid(w: np.ndarray) -> float:
         g = 2.0 * (s @ w)
         return _kkt_residual(g, w) / max(1.0, float(np.abs(g).max()))
+
+    def support_solve(support: np.ndarray) -> np.ndarray | None:
+        """The exact minimizer on ``support`` if it is feasible and meets KKT."""
+        idx = np.flatnonzero(support)
+        try:
+            sub = np.linalg.solve(s[np.ix_(idx, idx)], np.ones(idx.size))
+        except np.linalg.LinAlgError:
+            return None
+        denom = sub.sum()
+        if not (denom > 1e-12 and sub.min() / denom >= -1e-12):
+            return None
+        cand = np.zeros(p)
+        cand[idx] = np.maximum(sub / denom, 0.0)
+        cand /= cand.sum()
+        return cand if scaled_resid(cand) <= tol else None
 
     try:
         raw = np.linalg.solve(s, np.ones(p))
@@ -122,6 +143,7 @@ def min_var_long_only(
     w = np.full(p, 1.0 / p)
     y = w.copy()
     theta = 1.0
+    tried = np.ones(p, dtype=bool)  # the full support failed the fast path
     converged = False
     for it in range(max_iter):
         w_next = project_simplex(y - step * 2.0 * (s @ y))
@@ -129,30 +151,25 @@ def min_var_long_only(
         y = w_next + ((theta - 1.0) / theta_next) * (w_next - w)
         w = w_next
         theta = theta_next
-        if it % 10 == 0 and scaled_resid(w) <= tol:
-            converged = True
-            break
+        if it % 10 == 0:
+            support = w > 0.0
+            if not np.array_equal(support, tried):
+                tried = support
+                cand = support_solve(support)
+                if cand is not None:
+                    return cand
+            if scaled_resid(w) <= tol:
+                converged = True
+                break
     if not converged and scaled_resid(w) > tol:
         raise EstimationError(
             f"long-only solver did not reach tolerance {tol:g} "
             f"in {max_iter} iterations"
         )
 
-    # active-set polish: exact solve on the detected support
-    support = w > 1e-10 * w.max()
-    if support.sum() >= 1:
-        idx = np.flatnonzero(support)
-        try:
-            sub = np.linalg.solve(s[np.ix_(idx, idx)], np.ones(idx.size))
-            denom = sub.sum()
-            if denom > 1e-12 and sub.min() / denom >= -1e-12:
-                cand = np.zeros(p)
-                cand[idx] = np.maximum(sub / denom, 0.0)
-                cand /= cand.sum()
-                if cand @ s @ cand <= w @ s @ w and scaled_resid(cand) <= tol:
-                    w = cand
-        except np.linalg.LinAlgError:
-            pass
+    cand = support_solve(w > 1e-10 * w.max())
+    if cand is not None:
+        return cand
     w = np.maximum(w, 0.0)
     return w / w.sum()
 
@@ -338,7 +355,7 @@ def backtest(
 def report_series_csv(report: BacktestReport) -> str:
     """Per-day CSV: date, portfolio return, running cumulative return."""
     values = np.column_stack([report.daily_returns, report.cumulative])
-    lines = ["date,portfolio_return,cumulative_return"] + _format_rows(values, report.dates)
+    lines = ["date,portfolio_return,cumulative_return", *_format_rows(values, report.dates)]
     return "\n".join(lines) + "\n"
 
 

@@ -270,6 +270,30 @@ def test_diagnose_bad_arguments_exit_2(panels, tmp_path):
     assert "outside" in result.stderr
 
 
+def test_diagnose_bad_kappas_rejected_before_any_panel_is_read(tmp_path, capsys):
+    from factorcluster.cli import main
+
+    out = tmp_path / "d"
+    code = main(["diagnose", "--returns", str(tmp_path / "missing.csv"),
+                 "--factors", str(tmp_path / "missing_f.csv"), "--out", str(out),
+                 "--kappas", "0,zero"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--kappas" in err and "missing" not in err
+    assert not out.exists()
+
+
+def test_simulate_zero_reps_exits_2_before_writing(tmp_path, capsys):
+    from factorcluster.cli import main
+
+    out = tmp_path / "sim"
+    code = main(["simulate", "--p", "6", "--clusters", "2", "--periods", "30",
+                 "--reps", "0", "--out", str(out)])
+    assert code == 2
+    assert "--reps must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_subcommand_exits_2():
     result = run_cli()
     assert result.returncode == 2

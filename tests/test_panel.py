@@ -175,6 +175,24 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
         assert fh.read() == "world\n"
 
 
+def test_failed_streamed_write_keeps_old_file(tmp_path, monkeypatch):
+    import factorcluster.panel as panel_module
+
+    path = str(tmp_path / "m.csv")
+    save_matrix_csv(np.eye(2), path)
+    before = read_bytes(path)
+
+    def fails_mid_stream(values, labels=None):
+        yield "1,2,3"
+        raise RuntimeError("write interrupted")
+
+    monkeypatch.setattr(panel_module, "_format_rows", fails_mid_stream)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        save_matrix_csv(np.ones((3, 3)), path)
+    assert read_bytes(path) == before
+    assert sorted(os.listdir(tmp_path)) == ["m.csv"]
+
+
 def test_partition_normalizes_group_order():
     part = ClusterPartition.from_groups([(5, 3), (0, 2), (1, 4)], 6)
     assert part.groups == ((0, 2), (1, 4), (3, 5))
