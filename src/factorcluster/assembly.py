@@ -13,13 +13,15 @@ precision from a single (r + K) x (r + K) solve:
     Sigma^-1 = S_e^-1 - W (I + C L' W)^-1 C W',   W = S_e^-1 L.
 
 The same identity with L = A and C = S_z gives Sigma_u^-1 for
-Sigma_u = A S_z A' + S_e.
+Sigma_u = A S_z A' + S_e. An estimate keeps only these components;
+each dense p x p matrix is built on its first access.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -128,15 +130,27 @@ class StructuredCovariance:
 
 @dataclass(frozen=True)
 class AssembledEstimate:
-    """Dense covariance/precision estimates plus their structured form.
+    """An assembled estimate: its structured form and the dense matrices.
 
-    ``sigma_u`` and ``precision_u``, the covariance without the factor
-    layer and its inverse, are built from ``structured`` on access.
+    ``sigma`` and ``precision`` are built from ``structured`` on first
+    access and cached; ``sigma_u`` and ``precision_u``, the covariance
+    without the factor layer and its inverse, are rebuilt on every access.
     """
 
     structured: StructuredCovariance
-    sigma: np.ndarray
-    precision: np.ndarray
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        st = self.structured
+        b = st.loadings
+        return _freeze(symmetrize(b @ st.factor_cov @ b.T) + _sigma_u(st))
+
+    @cached_property
+    def precision(self) -> np.ndarray:
+        st = self.structured
+        a = st.partition.membership.astype(np.float64)
+        core = block_diag(st.factor_cov, st.cluster_cov)
+        return _freeze(_woodbury_inverse(st.idio_var, np.hstack([st.loadings, a]), core))
 
     @property
     def sigma_u(self) -> np.ndarray:
@@ -172,7 +186,7 @@ def _check_conditioning(m: np.ndarray, what: str) -> None:
 
 
 def assemble_from_structure(structured: StructuredCovariance) -> AssembledEstimate:
-    """Rebuild dense covariance and precision matrices from components.
+    """Check the components and wrap them; dense matrices come on access.
 
     Raises
     ------
@@ -191,22 +205,14 @@ def assemble_from_structure(structured: StructuredCovariance) -> AssembledEstima
             "by the factors and cluster paths"
             + ("; it is alone in its cluster, whose path is its own residual" if alone else "")
         )
-    sz = structured.cluster_cov
-    sf = structured.factor_cov
-    _check_conditioning(sz, "cluster covariance")
-    if sf.shape[0] > 0:
-        _check_conditioning(sf, "factor covariance")
-    a = structured.partition.membership.astype(np.float64)
-    b = structured.loadings
-    sigma = symmetrize(b @ sf @ b.T) + _sigma_u(structured)
-    precision = _woodbury_inverse(v, np.hstack([b, a]), block_diag(sf, sz))
-    return AssembledEstimate(
-        structured=structured, sigma=_freeze(sigma), precision=_freeze(precision)
-    )
+    _check_conditioning(structured.cluster_cov, "cluster covariance")
+    if structured.factor_cov.shape[0] > 0:
+        _check_conditioning(structured.factor_cov, "factor covariance")
+    return AssembledEstimate(structured)
 
 
 def assemble(fit: FactorFit, partition: ClusterPartition) -> AssembledEstimate:
-    """Third estimation stage: cluster paths, components, dense matrices."""
+    """Third estimation stage: cluster paths and checked components."""
     z_hat, e_hat = estimate_cluster_series(fit.residuals, partition)
     structured = StructuredCovariance(
         loadings=fit.loadings,
@@ -227,6 +233,25 @@ def sample_cov(data) -> np.ndarray:
         raise ValueError("need a T x p array with T >= 2")
     xc = x - x.mean(axis=0, keepdims=True)
     return symmetrize(xc.T @ xc / (x.shape[0] - 1))
+
+
+@dataclass(frozen=True)
+class SampleEstimate:
+    """A sample covariance from ``n_obs`` rows; its precision is built on access."""
+
+    sigma: np.ndarray
+    n_obs: int
+
+    @cached_property
+    def precision(self) -> np.ndarray:
+        """``sigma^-1``; raises EstimationError if an eigenvalue is <= 1e-10."""
+        min_eig = np.linalg.eigvalsh(self.sigma)[0]
+        if min_eig <= _EIG_FLOOR:
+            raise EstimationError(
+                f"sample covariance is singular (min eigenvalue {min_eig:.3g}); "
+                f"{self.n_obs} rows for {self.sigma.shape[0]} series"
+            )
+        return symmetrize(np.linalg.solve(self.sigma, np.eye(self.sigma.shape[0])))
 
 
 def _require_symmetric(m: np.ndarray) -> np.ndarray:

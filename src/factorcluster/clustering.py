@@ -22,7 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import EstimationError
-from .panel import ClusterPartition, symmetrize
+from .panel import ClusterPartition, _freeze, symmetrize
 
 DEFAULT_DELTA = 0.0
 DEFAULT_CQ = 0.95
@@ -133,9 +133,7 @@ class ThresholdSelection:
     c_q: float
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.sorted_values, dtype=np.float64).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "sorted_values", v)
+        object.__setattr__(self, "sorted_values", _freeze(self.sorted_values))
 
 
 def _check_rule(delta: float, c_q: float) -> None:

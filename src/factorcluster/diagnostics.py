@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import residual_cov
-from .panel import _format_rows
+from .panel import _format_rows, _freeze
 
 
 def m_p(sigma_u: np.ndarray, kappa: float) -> float:
@@ -52,10 +52,9 @@ class SparsityReport:
     seed: int
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.ratios, dtype=np.float64).copy()
+        r = _freeze(self.ratios)
         if r.shape != (len(self.p_grid), len(self.kappas)):
             raise ValueError("ratio grid shape does not match p_grid x kappas")
-        r.setflags(write=False)
         object.__setattr__(self, "ratios", r)
         object.__setattr__(self, "p_grid", tuple(int(p) for p in self.p_grid))
         object.__setattr__(self, "kappas", tuple(float(k) for k in self.kappas))

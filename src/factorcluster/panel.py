@@ -408,8 +408,10 @@ def align(returns: ReturnsPanel, factors: FactorPanel) -> tuple[ReturnsPanel, Fa
         raise PanelFormatError(
             f"panels share only {len(shared)} time label(s); need at least 2"
         )
-    ridx = [returns.times.index(t) for t in shared]
-    fidx = [factors.times.index(t) for t in shared]
+    rrow = {t: i for i, t in enumerate(returns.times)}
+    frow = {t: i for i, t in enumerate(factors.times)}
+    ridx = [rrow[t] for t in shared]
+    fidx = [frow[t] for t in shared]
     r = ReturnsPanel(tuple(shared), returns.names, returns.values[ridx])
     f = FactorPanel(tuple(shared), factors.names, factors.values[fidx])
     return r, f

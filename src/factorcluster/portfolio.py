@@ -6,21 +6,25 @@ with accelerated projected gradient, which every 10 iterations solves
 the equality-constrained problem exactly on the current support and
 stops at the first such solution that meets the KKT conditions.
 Backtests rebalance on a rolling window with no lookahead:
-the window for a test day ends strictly before that day.
+the window for a test day ends strictly before that day. Each window
+yields one estimate object, and a scheme reads only the dense matrix it
+needs (the precision when unconstrained, the covariance when long-only),
+so the other is never built.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble, operator_norm, sample_cov, symmetrize
+from .assembly import AssembledEstimate, SampleEstimate, assemble, operator_norm, sample_cov
 from .clustering import DEFAULT_CQ, DEFAULT_DELTA, run_clustering_pipeline
 from .errors import EstimationError
 from .factors import fit_loadings
-from .panel import FactorPanel, ReturnsPanel, _format_rows, align
+from .panel import FactorPanel, ReturnsPanel, _format_rows, align, symmetrize
 
 _KKT_TOL = 1e-9
 _MAX_ITER = 100_000
@@ -252,24 +256,13 @@ def _estimate_window(
     returns: ReturnsPanel,
     factors: FactorPanel,
     config: BacktestConfig,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(sigma, precision) on one window; precision is None for long-only sample paths."""
+) -> AssembledEstimate | SampleEstimate:
+    """The configured estimator fit on one window."""
     if config.estimator == "cluster":
         fit = fit_loadings(returns, factors)
         pipe = run_clustering_pipeline(fit.residuals, delta=config.delta, c_q=config.c_q)
-        est = assemble(fit, pipe.partition)
-        return est.sigma, est.precision
-    cov = sample_cov(returns.values)
-    if config.scheme == "long_only":
-        return cov, None
-    eigvals = np.linalg.eigvalsh(cov)
-    if eigvals[0] <= 1e-10:
-        raise EstimationError(
-            f"sample covariance is singular on the window ending "
-            f"{returns.times[-1]} (min eigenvalue {eigvals[0]:.3g}); "
-            f"window has {returns.n_periods} rows for {returns.n_series} series"
-        )
-    return cov, symmetrize(np.linalg.solve(cov, np.eye(cov.shape[0])))
+        return assemble(fit, pipe.partition)
+    return SampleEstimate(sample_cov(returns.values), returns.n_periods)
 
 
 def backtest(
@@ -297,12 +290,8 @@ def backtest(
     returns, factors = align(returns, factors)
     times = returns.times
     n = len(times)
-    lo = 0 if test_start is None else next(
-        (i for i, t in enumerate(times) if t >= test_start), n
-    )
-    hi = n if test_end is None else next(
-        (i for i in range(n, 0, -1) if times[i - 1] <= test_end), 0
-    )
+    lo = 0 if test_start is None else bisect_left(times, test_start)
+    hi = n if test_end is None else bisect_right(times, test_end)
     explicit = test_start is not None or test_end is not None
     if explicit:
         test_idx = list(range(lo, hi))
@@ -325,11 +314,11 @@ def backtest(
                 returns, factors, t - config.train_window, t
             )
             try:
-                sigma, precision = _estimate_window(win_r, win_f, config)
+                est = _estimate_window(win_r, win_f, config)
                 if config.scheme == "unconstrained":
-                    w = min_var_unconstrained(precision)
+                    w = min_var_unconstrained(est.precision)
                 else:
-                    w = min_var_long_only(sigma)
+                    w = min_var_long_only(est.sigma)
             except EstimationError as exc:
                 raise EstimationError(
                     f"estimation failed on window ending {times[t - 1]}: {exc}"

@@ -5,7 +5,9 @@ VAR(1) factor and cluster paths, Gaussian idiosyncratic noise whose
 standard deviations are truncated-Gamma draws, and loading rows drawn
 from a multivariate normal. All randomness flows through named child
 streams of one seed (order: loadings, sizes, sigmas, f, z, e), so any
-output is reproducible bit-for-bit from the config alone.
+output is reproducible bit-for-bit from the config alone. The Monte
+Carlo scores the cluster and sample estimates by one loss function,
+which builds each dense matrix on first access.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from __future__ import annotations
 import datetime
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy import stats
 
 from .assembly import (
     AssembledEstimate,
+    SampleEstimate,
     StructuredCovariance,
     assemble,
     assemble_from_structure,
@@ -478,6 +481,18 @@ def _mean_se(vals: list[float]) -> tuple[float | None, float | None]:
     return mean, se
 
 
+def _losses(
+    est: AssembledEstimate | SampleEstimate, truth: AssembledEstimate
+) -> tuple[float, float, float]:
+    """Weighted quadratic, max and precision operator-norm losses; NaN for a singular precision."""
+    diff = est.sigma - truth.sigma
+    try:
+        prec_loss = operator_norm(est.precision - truth.precision)
+    except EstimationError:
+        prec_loss = math.nan
+    return weighted_quadratic_norm(diff, truth.sigma), max_norm(diff), prec_loss
+
+
 def run_experiment(
     cells=DEFAULT_GRID,
     n_reps: int = DEFAULT_REPS,
@@ -506,7 +521,7 @@ def run_experiment(
     for cell in cells:
         k_hits: list[float] = []
         aris: list[float] = []
-        metrics = {name: {"wq": [], "mx": [], "pr": []} for name in ("cluster", "sample")}
+        losses: dict[str, list[tuple[float, float, float]]] = {"cluster": [], "sample": []}
         failures = 0
         for rep in range(n_reps):
             seed = replication_seed(base_seed, rep)
@@ -522,57 +537,32 @@ def run_experiment(
                 truth = sim.truth.assembled()
                 fit = fit_loadings(sim.returns, sim.factors)
                 pipe = run_clustering_pipeline(fit.residuals, delta=delta, c_q=c_q)
-                est = assemble(fit, pipe.partition)
-                diff = est.sigma - truth.sigma
-                cluster_loss = (
-                    weighted_quadratic_norm(diff, truth.sigma),
-                    max_norm(diff),
-                    operator_norm(est.precision - truth.precision),
-                )
-                scov = sample_cov(sim.returns.values)
-                sdiff = scov - truth.sigma
-                if np.linalg.eigvalsh(scov)[0] > 1e-10:
-                    sprec = symmetrize(np.linalg.solve(scov, np.eye(cell.p)))
-                    sample_prec_loss = operator_norm(sprec - truth.precision)
-                else:
-                    sample_prec_loss = math.nan
-                sample_loss = (
-                    weighted_quadratic_norm(sdiff, truth.sigma),
-                    max_norm(sdiff),
-                    sample_prec_loss,
-                )
+                cluster_loss = _losses(assemble(fit, pipe.partition), truth)
+                sample = SampleEstimate(sample_cov(sim.returns.values), cell.n_periods)
+                sample_loss = _losses(sample, truth)
             except (FactorClusterError, np.linalg.LinAlgError):
                 # nothing is recorded until every loss of the replication exists
                 failures += 1
                 continue
             k_hits.append(1.0 if pipe.partition.n_clusters == cell.n_clusters else 0.0)
             aris.append(adjusted_rand_index(sim.truth.partition, pipe.partition))
-            for name, losses in (("cluster", cluster_loss), ("sample", sample_loss)):
-                for key, value in zip(("wq", "mx", "pr"), losses):
-                    metrics[name][key].append(value)
+            losses["cluster"].append(cluster_loss)
+            losses["sample"].append(sample_loss)
             if progress is not None:
                 progress(cell, rep)
-        for name in ("cluster", "sample"):
-            wq_mean, wq_se = _mean_se(metrics[name]["wq"])
-            mx_mean, mx_se = _mean_se(metrics[name]["mx"])
-            pr_mean, pr_se = _mean_se(metrics[name]["pr"])
+        for name, recorded in losses.items():
+            columns = list(zip(*recorded)) or [(), (), ()]  # no replication succeeded
+            stats = [s for column in columns for s in _mean_se(list(column))]
             is_cluster = name == "cluster"
             rows.append(
                 ExperimentRow(
-                    cell=cell,
-                    estimator=name,
-                    reps=n_reps,
-                    failures=failures,
-                    freq_correct_k=(
-                        float(np.mean(k_hits)) if is_cluster and k_hits else None
-                    ),
-                    ari_mean=float(np.mean(aris)) if is_cluster and aris else None,
-                    wq_mean=wq_mean,
-                    wq_se=wq_se,
-                    max_mean=mx_mean,
-                    max_se=mx_se,
-                    prec_mean=pr_mean,
-                    prec_se=pr_se,
+                    cell,
+                    name,
+                    n_reps,
+                    failures,
+                    float(np.mean(k_hits)) if is_cluster and k_hits else None,
+                    float(np.mean(aris)) if is_cluster and aris else None,
+                    *stats,
                 )
             )
     return rows
@@ -587,32 +577,16 @@ _EXPERIMENT_HEADER = (
 def experiment_csv(rows: list[ExperimentRow]) -> str:
     """Render experiment rows as CSV; undefined cells are left empty."""
 
-    def cell(v: float | None) -> str:
-        return "" if v is None else "%.6g" % v
+    def text(v) -> str:
+        if v is None:
+            return ""
+        return "%.6g" % v if isinstance(v, float) else str(v)
 
     lines = [_EXPERIMENT_HEADER]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.cell.n_periods),
-                    str(row.cell.p),
-                    str(row.cell.n_clusters),
-                    row.cell.mode,
-                    row.estimator,
-                    str(row.reps),
-                    str(row.failures),
-                    cell(row.freq_correct_k),
-                    cell(row.ari_mean),
-                    cell(row.wq_mean),
-                    cell(row.wq_se),
-                    cell(row.max_mean),
-                    cell(row.max_se),
-                    cell(row.prec_mean),
-                    cell(row.prec_se),
-                ]
-            )
-        )
+        values = [getattr(row.cell, f.name) for f in fields(row.cell)]
+        values += [getattr(row, f.name) for f in fields(row)[1:]]
+        lines.append(",".join(text(v) for v in values))
     return "\n".join(lines) + "\n"
 
 

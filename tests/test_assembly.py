@@ -187,6 +187,15 @@ def test_assemble_from_fit_end_to_end():
     assert max_norm(est.sigma @ est.precision - np.eye(p)) < 1e-10
 
 
+def test_assembled_dense_matrices_are_built_on_first_access():
+    est = assemble_from_structure(random_structure(np.random.default_rng(11), 9, 3, 2))
+    assert "sigma" not in vars(est) and "precision" not in vars(est)
+    prec = est.precision
+    assert "sigma" not in vars(est)
+    assert est.precision is prec and not prec.flags.writeable
+    assert est.sigma is est.sigma and not est.sigma.flags.writeable
+
+
 def test_sample_cov_matches_numpy():
     rng = np.random.default_rng(37)
     x = rng.normal(size=(30, 5)) + 3.0

@@ -290,8 +290,24 @@ def test_backtest_singular_sample_window_reports_window_end():
     values[:, 2] = np.linspace(-0.02, 0.05, 8)
     returns, factors = _tiny_panels(values)
     config = BacktestConfig(train_window=5, estimator="sample")
-    with pytest.raises(EstimationError, match="window ending 2020-01-05"):
+    with pytest.raises(EstimationError, match="window ending 2020-01-05") as info:
         backtest(returns, factors, config)
+    min_eig = np.linalg.eigvalsh(sample_cov(values[:5]))[0]
+    assert f"min eigenvalue {min_eig:.3g})" in str(info.value)
+    assert "5 rows for 3 series" in str(info.value)
+
+
+def test_backtest_sample_long_only_window_shorter_than_p():
+    # a singular window covariance is fine: the long-only path never inverts it
+    sim = generate(default_config(p=12, n_clusters=2, n_periods=30, seed=23))
+    config = BacktestConfig(
+        train_window=8, estimator="sample", scheme="long_only", rebalance_every=7
+    )
+    assert np.linalg.eigvalsh(sample_cov(sim.returns.values[:8]))[0] <= 1e-10
+    report = backtest(sim.returns, sim.factors, config)
+    assert report.weights.shape == (4, 12)
+    assert report.weights.min() >= 0.0
+    assert np.allclose(report.weights.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_backtest_cluster_estimator_end_to_end():

@@ -321,6 +321,21 @@ def test_experiment_csv_layout():
     assert lines[2].startswith("40,9,3,balanced,sample,2,")
 
 
+def test_experiment_csv_exact_bytes():
+    # the second cell has T < p, so its sample precision loss is undefined
+    rows = run_experiment(
+        [ExperimentCell(60, 24, 3), ExperimentCell(20, 30, 3)], n_reps=2, base_seed=5
+    )
+    assert experiment_csv(rows) == (
+        "T,p,K,mode,estimator,reps,failures,freq_correct_k,ari_mean,"
+        "wq_mean,wq_se,max_mean,max_se,prec_mean,prec_se\n"
+        "60,24,3,balanced,cluster,2,0,1,1,0.361591,0.0101854,1.70846,0.748228,1.16425,0.20971\n"
+        "60,24,3,balanced,sample,2,0,,,0.641923,0.00174924,2.16961,0.385588,8.77986,0.521863\n"
+        "20,30,3,balanced,cluster,2,0,0,0,1.56815,0.240297,2.99827,0.471055,3.42519,0.598334\n"
+        "20,30,3,balanced,sample,2,0,,,1.27238,0.0661237,3.09234,0.41412,,\n"
+    )
+
+
 def test_default_grid_matches_documented_cells():
     assert tuple((c.n_periods, c.p, c.n_clusters) for c in DEFAULT_GRID) == (
         (300, 200, 6),
