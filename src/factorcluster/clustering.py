@@ -6,7 +6,10 @@ The dissimilarity between series i and j is
 
 where S is the uncentered residual covariance. Within a cluster the
 numerator vanishes for every probe l, so D_ij concentrates near zero;
-across clusters it stays bounded away from zero. A ratio rule on the
+across clusters it stays bounded away from zero. The numerator is the
+Chebyshev distance between rows i and j of ``S_il / sqrt(S_ll)`` with
+a NaN diagonal, which leaves out the probes l = i and l = j, so the
+O(p^3) work is one compiled SciPy ``pdist`` call. A ratio rule on the
 sorted dissimilarities picks the threshold gamma, and the groups are
 the connected components of the threshold graph with edges
 ``{D_ij < gamma}``, which is the single-linkage cut at gamma.
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import EstimationError
 from .panel import ClusterPartition, _freeze, symmetrize
@@ -50,6 +54,9 @@ def _check_scod_input(s: np.ndarray, min_p: int) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
     if s.shape[0] < min_p:
         raise ValueError(f"need at least {min_p} series, got {s.shape[0]}")
+    if not np.isfinite(s).all():
+        i, j = map(int, np.argwhere(~np.isfinite(s))[0])
+        raise ValueError(f"non-finite entry {s[i, j]} at (i={i}, j={j})")
     scale = np.abs(s).max()
     if scale > 0 and np.abs(s - s.T).max() > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
@@ -59,10 +66,15 @@ def _check_scod_input(s: np.ndarray, min_p: int) -> np.ndarray:
 def scod_matrix(resid_cov: np.ndarray) -> np.ndarray:
     """Pairwise screened-correlation-of-differences matrix.
 
+    The numerators are SciPy's Chebyshev ``pdist`` over the rows of
+    ``S_il / sqrt(S_ll)`` with a NaN diagonal: a NaN difference never
+    wins the running max, so for each pair exactly the probes l = i
+    and l = j drop out, and the O(p^3) work runs in compiled code.
+
     Parameters
     ----------
     resid_cov : np.ndarray
-        p x p symmetric residual covariance, p >= 3, positive
+        p x p finite symmetric residual covariance, p >= 3, positive
         diagonal, and positive variance of every difference
         ``u_i - u_j``.
 
@@ -80,41 +92,28 @@ def scod_matrix(resid_cov: np.ndarray) -> np.ndarray:
     """
     s = _check_scod_input(np.asarray(resid_cov), 3)
     p = s.shape[0]
-    d = np.diag(s).copy()
+    d = np.diag(s)
     if np.any(d <= 0.0):
         l = int(np.argmin(d))
         raise EstimationError(
             f"nonpositive residual variance for series l={l} "
             f"(value {d[l]:.3g}); denominators require S_ll > 0"
         )
-    # out holds var(u_i - u_j) until row i of the loop overwrites its
-    # upper part with D_ij; the rest is cleared before mirroring
-    out = d[:, None] + d[None, :] - 2.0 * s
-    np.fill_diagonal(out, np.inf)
-    if np.any(out <= 0.0):
-        i, j = map(int, np.argwhere(out <= 0.0)[0])
+    var = d[:, None] + d[None, :] - 2.0 * s
+    bad = np.triu(var <= 0.0, 1)
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
         l = next(k for k in range(p) if k not in (i, j))
         raise EstimationError(
             f"nonpositive denominator for triple (i={i}, j={j}, l={l}): "
-            f"var(u_{i} - u_{j}) = {out[i, j]:.3g} <= 0; "
+            f"var(u_{i} - u_{j}) = {var[i, j]:.3g} <= 0; "
             f"series {i} and {j} look numerically identical"
         )
-    # scale probe columns once: scaled[i, l] = S_il / sqrt(S_ll)
     scaled = s / np.sqrt(d)[None, :]
-    buf = np.empty((p - 1, p), dtype=np.float64)
-    rows = np.arange(p - 1)
-    for i in range(p - 1):
-        # row k of r holds |S_il - S_jl| / sqrt(S_ll) for j = i + 1 + k
-        m = p - 1 - i
-        r = buf[:m]
-        np.subtract(scaled[i], scaled[i + 1 :], out=r)
-        np.abs(r, out=r)
-        r[:, i] = -np.inf
-        r[rows[:m], rows[:m] + i + 1] = -np.inf
-        out[i, i + 1 :] = r.max(axis=1) / np.sqrt(out[i, i + 1 :])
-    out = np.triu(out, 1)
-    # mirror the upper triangle into the now all-zero lower one
-    return out + out.T
+    np.fill_diagonal(scaled, np.nan)
+    # pdist and squareform(checks=False) both walk the pairs i < j row by row
+    num = pdist(scaled, "chebyshev")
+    return squareform(num / np.sqrt(squareform(var, checks=False)))
 
 
 @dataclass(frozen=True)
@@ -167,9 +166,7 @@ def select_threshold(
     """
     s = _check_scod_input(np.asarray(scod), 3)
     _check_rule(delta, c_q)
-    p = s.shape[0]
-    iu, ju = np.triu_indices(p, 1)
-    values = np.sort(s[iu, ju])[::-1]
+    values = np.sort(squareform(s, checks=False))[::-1]
     q_total = values.size
     d_eff = max(float(delta), 1e-12)
     m_max = min(math.ceil(c_q * q_total - 1e-9), q_total - 1)

@@ -19,8 +19,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
-from .assembly import AssembledEstimate, SampleEstimate, assemble, operator_norm, sample_cov
+from .assembly import AssembledEstimate, SampleEstimate, assemble, sample_cov
 from .clustering import DEFAULT_CQ, DEFAULT_DELTA, run_clustering_pipeline
 from .errors import EstimationError
 from .factors import fit_loadings
@@ -85,7 +86,7 @@ def min_var_long_only(
     If the unconstrained solution is already nonnegative (within 1e-6)
     it is clipped, renormalized, and returned directly. Otherwise
     accelerated projected gradient runs with step ``1/L``,
-    ``L = operator_norm(2 Sigma)``; every 10 iterations, when the
+    ``L = 2 lambda_max(Sigma)``; every 10 iterations, when the
     support ``{w > 0}`` has changed, the equality-constrained problem is
     solved exactly on it, and the first nonnegative solution whose KKT
     residual is below ``tol * scale`` (scale = max(1, |grad|_inf)) is
@@ -140,7 +141,7 @@ def min_var_long_only(
     except np.linalg.LinAlgError:
         pass
 
-    lip = operator_norm(2.0 * s)
+    lip = 2.0 * eigh(s, eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
     if not lip > 0.0:
         raise EstimationError("covariance matrix is exactly zero")
     step = 1.0 / lip

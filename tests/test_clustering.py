@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcluster.errors import EstimationError
+from factorcluster.factors import fit_loadings
 from factorcluster.clustering import (
     adjusted_rand_index,
     cluster,
@@ -17,6 +18,7 @@ from factorcluster.clustering import (
     select_threshold,
 )
 from factorcluster.panel import ClusterPartition
+from factorcluster.simulation import default_config, generate
 
 
 def scod_oracle(s):
@@ -35,6 +37,31 @@ def scod_oracle(s):
                 best = max(best, abs(s[i, l] - s[j, l]) / denom)
             out[i, j] = best
     return out
+
+
+def scod_row_loop(resid_cov):
+    """The earlier row-loop kernel, arithmetic verbatim, as a bitwise reference."""
+    s = np.asarray(resid_cov, dtype=np.float64)
+    p = s.shape[0]
+    d = np.diag(s).copy()
+    out = d[:, None] + d[None, :] - 2.0 * s
+    np.fill_diagonal(out, np.inf)
+    # scale probe columns once: scaled[i, l] = S_il / sqrt(S_ll)
+    scaled = s / np.sqrt(d)[None, :]
+    buf = np.empty((p - 1, p), dtype=np.float64)
+    rows = np.arange(p - 1)
+    for i in range(p - 1):
+        # row k of r holds |S_il - S_jl| / sqrt(S_ll) for j = i + 1 + k
+        m = p - 1 - i
+        r = buf[:m]
+        np.subtract(scaled[i], scaled[i + 1 :], out=r)
+        np.abs(r, out=r)
+        r[:, i] = -np.inf
+        r[rows[:m], rows[:m] + i + 1] = -np.inf
+        out[i, i + 1 :] = r.max(axis=1) / np.sqrt(out[i, i + 1 :])
+    out = np.triu(out, 1)
+    # mirror the upper triangle into the now all-zero lower one
+    return out + out.T
 
 
 def residual_cov_oracle(u):
@@ -168,6 +195,24 @@ def test_scod_matches_oracle_on_random_instances():
         assert np.allclose(scod_matrix(s), scod_oracle(s), atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [30, 200])
+def test_scod_bitwise_equals_row_loop_on_simulated_residuals(p):
+    sim = generate(default_config(p, 6, 300, seed=p))
+    s = residual_cov(fit_loadings(sim.returns, sim.factors).residuals)
+    assert np.array_equal(scod_matrix(s), scod_row_loop(s))
+
+
+def test_scod_bitwise_equals_row_loop_with_tied_probes():
+    # three clusters of two series: for a cross-cluster pair, both
+    # members of each other cluster give the same probe value
+    a = np.repeat(np.eye(3), 2, axis=0)
+    sz = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+    s = a @ sz @ a.T + np.eye(6)
+    d = scod_matrix(s)
+    assert np.array_equal(d, scod_row_loop(s))
+    assert d[0, 2] == pytest.approx(0.7 / math.sqrt(6.8), rel=1e-12)
+
+
 def test_scod_rejects_small_or_asymmetric():
     with pytest.raises(ValueError, match="at least 3"):
         scod_matrix(np.eye(2))
@@ -204,6 +249,18 @@ def test_scod_duplicate_series_message_names_the_triple():
         "nonpositive denominator for triple (i=2, j=4, l=0): "
         "var(u_2 - u_4) = 0 <= 0; series 2 and 4 look numerically identical"
     )
+
+
+@pytest.mark.parametrize(
+    "fn", [scod_matrix, select_threshold, lambda m: cluster(m, 0.5)],
+    ids=["scod_matrix", "select_threshold", "cluster"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scod_inputs_reject_non_finite_entries(fn, bad):
+    s = random_spd_cov(np.random.default_rng(27), 5)
+    s[1, 3] = s[3, 1] = bad
+    with pytest.raises(ValueError, match=rf"non-finite entry {bad} at \(i=1, j=3\)"):
+        fn(s)
 
 
 def scod_from_values(p, vals):
@@ -335,6 +392,13 @@ def test_scod_is_permutation_equivariant(case):
     s, perm = case
     d = scod_matrix(s)
     assert np.array_equal(scod_matrix(s[np.ix_(perm, perm)]), d[np.ix_(perm, perm)])
+
+
+@PROPERTY
+@given(cov_and_permutation())
+def test_scod_bitwise_equals_row_loop(case):
+    s = case[0]
+    assert np.array_equal(scod_matrix(s), scod_row_loop(s))
 
 
 @PROPERTY

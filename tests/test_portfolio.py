@@ -188,6 +188,8 @@ def test_long_only_validation():
         min_var_long_only(np.ones((2, 3)))
     with pytest.raises(ValueError, match="tol"):
         min_var_long_only(np.eye(2), tol=0.0)
+    with pytest.raises(EstimationError, match="exactly zero"):
+        min_var_long_only(np.zeros((3, 3)))
 
 
 def test_summary_stats_three_day_fixture():
