@@ -7,14 +7,17 @@ variances S_e = diag(v), the assembled estimate
     Sigma = B S_f B' + A S_z A' + S_e = L C L' + S_e,
     L = [B | A],  C = blockdiag(S_f, S_z),
 
-is low rank plus diagonal, so one Woodbury identity gives its
-precision from a single (r + K) x (r + K) solve:
+is low rank plus diagonal, so one Woodbury identity solves against it
+with a single (r + K) x (r + K) solve:
 
-    Sigma^-1 = S_e^-1 - W (I + C L' W)^-1 C W',   W = S_e^-1 L.
+    Sigma^-1 b = S_e^-1 b - W (I + C L' W)^-1 C W' b,   W = S_e^-1 L.
 
-The same identity with L = A and C = S_z gives Sigma_u^-1 for
-Sigma_u = A S_z A' + S_e. An estimate keeps only these components;
-each dense p x p matrix is built on its first access.
+``_woodbury_solve`` is that identity. ``AssembledEstimate.solve`` applies
+it to a vector or a few columns in O(p (r + K)^2), with no p x p matrix;
+the dense precision is the same identity with b = I. With L = A and
+C = S_z it gives Sigma_u^-1 for Sigma_u = A S_z A' + S_e. An estimate
+keeps only these components; each dense p x p matrix is built on its
+first access.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ def estimate_cluster_series(
 
     With membership matrix A, the cluster path solves
     ``z_t = (A'A)^{-1} A' u_t``, i.e. row-wise group means; the
-    second output is ``e_t = u_t - A z_t``.
+    second output is ``e_t = u_t - A z_t``, formed in the C-ordered
+    product ``z A'``, which is exact because A is 0/1.
 
     Returns
     -------
@@ -67,7 +71,8 @@ def estimate_cluster_series(
     z = np.empty((u.shape[0], partition.n_clusters), dtype=np.float64)
     for k, g in enumerate(partition.groups):
         z[:, k] = u[:, list(g)].mean(axis=1)
-    e = u - z[:, partition.labels]
+    e = z @ partition.membership.T.astype(np.float64)
+    np.subtract(u, e, out=e)
     return z, e
 
 
@@ -135,6 +140,7 @@ class AssembledEstimate:
     ``sigma`` and ``precision`` are built from ``structured`` on first
     access and cached; ``sigma_u`` and ``precision_u``, the covariance
     without the factor layer and its inverse, are rebuilt on every access.
+    ``solve`` works on ``structured`` alone and builds neither.
     """
 
     structured: StructuredCovariance
@@ -147,10 +153,8 @@ class AssembledEstimate:
 
     @cached_property
     def precision(self) -> np.ndarray:
-        st = self.structured
-        a = st.partition.membership.astype(np.float64)
-        core = block_diag(st.factor_cov, st.cluster_cov)
-        return _freeze(_woodbury_inverse(st.idio_var, np.hstack([st.loadings, a]), core))
+        p = self.structured.idio_var.size
+        return _freeze(symmetrize(self.solve(np.eye(p))))
 
     @property
     def sigma_u(self) -> np.ndarray:
@@ -160,7 +164,15 @@ class AssembledEstimate:
     def precision_u(self) -> np.ndarray:
         st = self.structured
         a = st.partition.membership.astype(np.float64)
-        return _freeze(_woodbury_inverse(st.idio_var, a, st.cluster_cov))
+        eye = np.eye(a.shape[0])
+        return _freeze(symmetrize(_woodbury_solve(st.idio_var, a, st.cluster_cov, eye)))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``Sigma^-1 b`` for a length-p vector or a p x m matrix, in O(p (r + K)^2)."""
+        st = self.structured
+        low = np.hstack([st.loadings, st.partition.membership.astype(np.float64)])
+        core = block_diag(st.factor_cov, st.cluster_cov)
+        return _woodbury_solve(st.idio_var, low, core, np.asarray(b, dtype=np.float64))
 
 
 def _sigma_u(structured: StructuredCovariance) -> np.ndarray:
@@ -168,12 +180,17 @@ def _sigma_u(structured: StructuredCovariance) -> np.ndarray:
     return symmetrize(a @ structured.cluster_cov @ a.T) + np.diag(structured.idio_var)
 
 
-def _woodbury_inverse(v: np.ndarray, low: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """``(low core low' + diag(v))^-1`` from one solve the size of ``core``."""
+def _woodbury_solve(
+    v: np.ndarray, low: np.ndarray, core: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """``(low core low' + diag(v))^-1 b`` from one solve the size of ``core``."""
     inv_v = 1.0 / v
     w = low * inv_v[:, None]
     inner = np.eye(core.shape[0]) + core @ (low.T @ w)
-    return symmetrize(np.diag(inv_v) - w @ np.linalg.solve(inner, core @ w.T))
+    x = b.reshape(b.shape[0], -1)  # a vector as one column
+    out = inv_v[:, None] * x
+    out -= w @ np.linalg.solve(inner, core @ (w.T @ x))
+    return out.reshape(b.shape)
 
 
 def _check_conditioning(m: np.ndarray, what: str) -> None:
@@ -252,6 +269,10 @@ class SampleEstimate:
                 f"{self.n_obs} rows for {self.sigma.shape[0]} series"
             )
         return symmetrize(np.linalg.solve(self.sigma, np.eye(self.sigma.shape[0])))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``sigma^-1 b`` through ``precision``, so the singular-window rule applies."""
+        return self.precision @ b
 
 
 def _require_symmetric(m: np.ndarray) -> np.ndarray:

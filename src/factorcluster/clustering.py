@@ -45,7 +45,9 @@ def residual_cov(residuals: np.ndarray) -> np.ndarray:
         raise ValueError(f"residuals must be 2-D, got {u.ndim}-D")
     if u.shape[0] < 2:
         raise ValueError(f"need at least 2 rows, got {u.shape[0]}")
-    return symmetrize(u.T @ u / u.shape[0])
+    m = u.T @ u
+    m /= u.shape[0]
+    return symmetrize(m)
 
 
 def _check_scod_input(s: np.ndarray, min_p: int) -> np.ndarray:
@@ -57,9 +59,10 @@ def _check_scod_input(s: np.ndarray, min_p: int) -> np.ndarray:
     if not np.isfinite(s).all():
         i, j = map(int, np.argwhere(~np.isfinite(s))[0])
         raise ValueError(f"non-finite entry {s[i, j]} at (i={i}, j={j})")
-    scale = np.abs(s).max()
-    if scale > 0 and np.abs(s - s.T).max() > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
+    if not np.array_equal(s, s.T):
+        scale = np.abs(s).max()
+        if scale > 0 and np.abs(s - s.T).max() > 1e-10 * scale:
+            raise ValueError("matrix is not symmetric")
     return s
 
 
@@ -99,10 +102,12 @@ def scod_matrix(resid_cov: np.ndarray) -> np.ndarray:
             f"nonpositive residual variance for series l={l} "
             f"(value {d[l]:.3g}); denominators require S_ll > 0"
         )
-    var = d[:, None] + d[None, :] - 2.0 * s
-    bad = np.triu(var <= 0.0, 1)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
+    var = np.add.outer(d, d)
+    var -= 2.0 * s
+    # squareform(checks=False) reads the upper triangle row by row, as pdist does
+    cvar = squareform(var, checks=False)
+    if (cvar <= 0.0).any():
+        i, j = map(int, np.argwhere(np.triu(var <= 0.0, 1))[0])
         l = next(k for k in range(p) if k not in (i, j))
         raise EstimationError(
             f"nonpositive denominator for triple (i={i}, j={j}, l={l}): "
@@ -111,9 +116,9 @@ def scod_matrix(resid_cov: np.ndarray) -> np.ndarray:
         )
     scaled = s / np.sqrt(d)[None, :]
     np.fill_diagonal(scaled, np.nan)
-    # pdist and squareform(checks=False) both walk the pairs i < j row by row
     num = pdist(scaled, "chebyshev")
-    return squareform(num / np.sqrt(squareform(var, checks=False)))
+    num /= np.sqrt(cvar)
+    return squareform(num)
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,8 @@ def fit_loadings(returns: ReturnsPanel, factors: FactorPanel) -> FactorFit:
             f"involves factors {involved}"
         )
     loadings = np.linalg.solve(gram, f.T @ y / t_len).T
-    residuals = y - f @ loadings.T
+    residuals = f @ loadings.T
+    np.subtract(y, residuals, out=residuals)
     return FactorFit(
         loadings=loadings,
         factor_cov=sample_factor_cov(factors),

@@ -16,6 +16,7 @@ import os
 import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TextIO
 
 import numpy as np
@@ -28,7 +29,9 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return (m + m.T) / 2.0
+    out = m + m.T
+    out /= 2.0
+    return out
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -81,6 +84,22 @@ class _Panel:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", _freeze(values))
+
+    def rows(self, start: int, stop: int) -> "_Panel":
+        """Rows ``[start, stop)`` as a panel of the same type.
+
+        The values are a read-only view of this panel's rows. A row slice
+        of a valid panel is valid, so it is not checked again, except that
+        it must keep at least 2 rows.
+        """
+        times = self.times[start:stop]
+        if len(times) < 2:
+            raise PanelFormatError("panel needs at least 2 rows")
+        out = object.__new__(type(self))
+        object.__setattr__(out, "times", times)
+        object.__setattr__(out, "names", self.names)
+        object.__setattr__(out, "values", self.values[start:stop])
+        return out
 
     @property
     def n_periods(self) -> int:
@@ -158,20 +177,21 @@ class ClusterPartition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.groups)
 
-    @property
+    @cached_property
     def labels(self) -> np.ndarray:
         """Length-p integer vector; entry i is the 0-based cluster of series i."""
         lab = np.empty(self.n_series, dtype=np.int64)
         for k, g in enumerate(self.groups):
             lab[list(g)] = k
+        lab.setflags(write=False)
         return lab
 
-    @property
+    @cached_property
     def membership(self) -> np.ndarray:
         """p x K indicator matrix with exactly one 1 per row."""
         a = np.zeros((self.n_series, self.n_clusters), dtype=np.int64)
-        for k, g in enumerate(self.groups):
-            a[list(g), k] = 1
+        a[np.arange(self.n_series), self.labels] = 1
+        a.setflags(write=False)
         return a
 
 

@@ -1,15 +1,17 @@
 """Minimum-variance portfolios and rolling out-of-sample backtests.
 
-The unconstrained weights are ``Sigma^{-1} 1 / (1' Sigma^{-1} 1)``; the
-long-only variant minimizes ``w' Sigma w`` over the probability simplex
-with accelerated projected gradient, which every 10 iterations solves
-the equality-constrained problem exactly on the current support and
-stops at the first such solution that meets the KKT conditions.
+The unconstrained weights are ``Sigma^{-1} 1 / (1' Sigma^{-1} 1)``, so
+they need only the vector ``Sigma^{-1} 1``; the long-only variant
+minimizes ``w' Sigma w`` over the probability simplex with accelerated
+projected gradient, which every 10 iterations solves the
+equality-constrained problem exactly on the current support and stops
+at the first such solution that meets the KKT conditions.
 Backtests rebalance on a rolling window with no lookahead:
-the window for a test day ends strictly before that day. Each window
-yields one estimate object, and a scheme reads only the dense matrix it
-needs (the precision when unconstrained, the covariance when long-only),
-so the other is never built.
+the window for a test day ends strictly before that day. The windows
+are read-only row views of the aligned panels. Each window yields one
+estimate object: the unconstrained scheme takes ``Sigma^{-1} 1`` from
+its ``solve``, which for the cluster estimator is one Woodbury solve of
+size r + K, and only the long-only scheme builds the dense covariance.
 """
 
 from __future__ import annotations
@@ -31,18 +33,20 @@ _KKT_TOL = 1e-9
 _MAX_ITER = 100_000
 
 
-def min_var_unconstrained(precision: np.ndarray) -> np.ndarray:
-    """Fully-invested minimum-variance weights from a precision matrix.
+def min_var_unconstrained(precision_ones: np.ndarray) -> np.ndarray:
+    """Fully-invested minimum-variance weights from ``Sigma^{-1} 1``.
+
+    Pass ``est.solve(np.ones(p))`` for an estimate ``est``, or the row
+    sums of a precision matrix.
 
     Raises
     ------
     EstimationError
         If ``1' Sigma^{-1} 1`` is not safely positive.
     """
-    prec = np.asarray(precision, dtype=np.float64)
-    if prec.ndim != 2 or prec.shape[0] != prec.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {prec.shape}")
-    raw = prec.sum(axis=1)
+    raw = np.asarray(precision_ones, dtype=np.float64)
+    if raw.ndim != 1:
+        raise ValueError(f"expected the vector Sigma^-1 1, got shape {raw.shape}")
     denom = raw.sum()
     if not denom > 1e-12:
         raise EstimationError(
@@ -244,15 +248,6 @@ def summary_stats(
     return av, sd, ir
 
 
-def _window_panels(
-    returns: ReturnsPanel, factors: FactorPanel, start: int, stop: int
-) -> tuple[ReturnsPanel, FactorPanel]:
-    times = returns.times[start:stop]
-    r = ReturnsPanel(times, returns.names, returns.values[start:stop])
-    f = FactorPanel(times, factors.names, factors.values[start:stop])
-    return r, f
-
-
 def _estimate_window(
     returns: ReturnsPanel,
     factors: FactorPanel,
@@ -311,13 +306,11 @@ def backtest(
     w: np.ndarray | None = None
     for pos, t in enumerate(test_idx):
         if pos % config.rebalance_every == 0:
-            win_r, win_f = _window_panels(
-                returns, factors, t - config.train_window, t
-            )
+            start = t - config.train_window
             try:
-                est = _estimate_window(win_r, win_f, config)
+                est = _estimate_window(returns.rows(start, t), factors.rows(start, t), config)
                 if config.scheme == "unconstrained":
-                    w = min_var_unconstrained(est.precision)
+                    w = min_var_unconstrained(est.solve(np.ones(returns.n_series)))
                 else:
                     w = min_var_long_only(est.sigma)
             except EstimationError as exc:

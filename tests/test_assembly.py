@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from factorcluster.assembly import (
     AssembledEstimate,
+    SampleEstimate,
     StructuredCovariance,
     assemble,
     assemble_from_structure,
@@ -20,12 +24,14 @@ from factorcluster.assembly import (
 )
 from factorcluster.errors import EstimationError
 from factorcluster.factors import fit_loadings
-from factorcluster.panel import ClusterPartition, FactorPanel, ReturnsPanel
+from factorcluster.panel import ClusterPartition, FactorPanel, ReturnsPanel, symmetrize
+from factorcluster.simulation import default_config, generate
 
 
-def random_structure(rng, p, k, r):
-    labels = rng.integers(0, k, size=p)
-    labels[:k] = np.arange(k)  # every cluster non-empty
+def random_structure(rng, p, k, r, labels=None):
+    if labels is None:
+        labels = rng.integers(0, k, size=p)
+        labels[:k] = np.arange(k)  # every cluster non-empty
     partition = ClusterPartition.from_labels(labels)
     loadings = rng.normal(size=(p, r))
     a = rng.normal(size=(r + 2, r))
@@ -64,6 +70,20 @@ def test_cluster_series_are_group_means():
     # group means are the least-squares fit, so residuals are orthogonal
     # to the membership columns
     assert np.allclose(e @ part.membership.astype(float), 0.0, atol=1e-12)
+
+
+def test_cluster_series_residuals_are_c_ordered_and_equal_the_gather():
+    # subtracting into the F-ordered gather z[:, labels] would give an
+    # F-ordered e, whose column means idio_var would sum in another order
+    sim = generate(default_config(p=60, n_clusters=6, n_periods=200, seed=4))
+    fit = fit_loadings(sim.returns, sim.factors)
+    part = sim.truth.partition
+    z, e = estimate_cluster_series(fit.residuals, part)
+    gathered = fit.residuals - z[:, part.labels]
+    assert e.flags.c_contiguous
+    assert np.array_equal(e, gathered)
+    c_ordered = np.ascontiguousarray(gathered)
+    assert np.array_equal(idio_var(e), (c_ordered * c_ordered).mean(axis=0))
 
 
 def test_cluster_series_shape_checks():
@@ -194,6 +214,62 @@ def test_assembled_dense_matrices_are_built_on_first_access():
     assert "sigma" not in vars(est)
     assert est.precision is prec and not prec.flags.writeable
     assert est.sigma is est.sigma and not est.sigma.flags.writeable
+
+
+def woodbury_inverse_reference(v, low, core):
+    """The dense Woodbury inverse as written before it became a solve."""
+    inv_v = 1.0 / v
+    w = low * inv_v[:, None]
+    inner = np.eye(core.shape[0]) + core @ (low.T @ w)
+    return symmetrize(np.diag(inv_v) - w @ np.linalg.solve(inner, core @ w.T))
+
+
+@pytest.mark.parametrize("p,k,r", [(9, 3, 2), (60, 5, 0), (200, 6, 3)])
+def test_dense_precisions_bitwise_equal_the_woodbury_inverse(p, k, r):
+    structured = random_structure(np.random.default_rng(p), p, k, r)
+    est = assemble_from_structure(structured)
+    a = structured.partition.membership.astype(np.float64)
+    low = np.hstack([structured.loadings, a])
+    core = block_diag(structured.factor_cov, structured.cluster_cov)
+    v = structured.idio_var
+    assert np.array_equal(est.precision, woodbury_inverse_reference(v, low, core))
+    assert np.array_equal(est.precision_u, woodbury_inverse_reference(v, a, structured.cluster_cov))
+
+
+@st.composite
+def estimates_and_right_hand_sides(draw):
+    """Structured estimates whose clusters all have 2 or more members."""
+    p = draw(st.integers(3, 40))
+    r = draw(st.integers(0, 3))
+    k = draw(st.integers(1, p // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.concatenate([np.arange(k), np.arange(k), rng.integers(0, k, size=p - 2 * k)])
+    rng.shuffle(labels)
+    est = assemble_from_structure(random_structure(rng, p, k, r, labels))
+    return est, rng.normal(size=p), rng.normal(size=(p, 2))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(estimates_and_right_hand_sides())
+def test_solve_matches_the_dense_precision(case):
+    est, b_vec, b_mat = case
+    got = [est.solve(b_vec), est.solve(b_mat)]
+    assert "precision" not in vars(est) and "sigma" not in vars(est)
+    for b, x in zip((b_vec, b_mat), got):
+        want = est.precision @ b
+        assert x.shape == b.shape
+        assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_sample_solve_goes_through_the_precision():
+    rng = np.random.default_rng(38)
+    x = rng.normal(size=(30, 4))
+    est = SampleEstimate(sample_cov(x), 30)
+    b = rng.normal(size=4)
+    assert np.array_equal(est.solve(b), est.precision @ b)
+    singular = SampleEstimate(sample_cov(x[:3]), 3)
+    with pytest.raises(EstimationError, match="3 rows for 4 series"):
+        singular.solve(b)
 
 
 def test_sample_cov_matches_numpy():

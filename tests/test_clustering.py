@@ -263,6 +263,23 @@ def test_scod_inputs_reject_non_finite_entries(fn, bad):
         fn(s)
 
 
+@pytest.mark.parametrize(
+    "fn", [scod_matrix, select_threshold, lambda m: cluster(m, 0.5)],
+    ids=["scod_matrix", "select_threshold", "cluster"],
+)
+def test_scod_inputs_symmetry_tolerance(fn):
+    s = random_spd_cov(np.random.default_rng(28), 6)
+    scale = np.abs(s).max()
+    near = s.copy()
+    near[1, 4] += 1e-12 * scale
+    assert not np.array_equal(near, near.T)
+    fn(near)
+    far = s.copy()
+    far[1, 4] += 1e-9 * scale
+    with pytest.raises(ValueError, match="not symmetric"):
+        fn(far)
+
+
 def scod_from_values(p, vals):
     m = np.zeros((p, p))
     iu = np.triu_indices(p, 1)

@@ -48,6 +48,25 @@ def test_panel_values_are_frozen():
         panel.values[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("cls", [ReturnsPanel, FactorPanel])
+def test_panel_rows_is_a_read_only_view_of_the_same_type(cls):
+    panel = make_panel(t_len=6, n=3, cls=cls)
+    sub = panel.rows(1, 4)
+    assert type(sub) is cls
+    assert sub.times == panel.times[1:4]
+    assert sub.names == panel.names
+    assert np.shares_memory(sub.values, panel.values)
+    assert np.array_equal(sub.values, panel.values[1:4])
+    assert not sub.values.flags.writeable
+    assert sub.n_periods == 3 and sub.n_series == 3
+
+
+@pytest.mark.parametrize("start,stop", [(0, 1), (3, 4), (2, 2), (5, 9)])
+def test_panel_rows_needs_two_rows(start, stop):
+    with pytest.raises(PanelFormatError, match="at least 2 rows"):
+        make_panel(t_len=4).rows(start, stop)
+
+
 def test_panel_shape_properties():
     panel = make_panel(t_len=5, n=2)
     assert panel.n_periods == 5
@@ -213,6 +232,21 @@ def test_partition_labels_and_membership_agree():
     assert np.array_equal(a.sum(axis=1), np.ones(5, dtype=np.int64))
     for i in range(5):
         assert a[i, labels[i]] == 1
+
+
+def test_partition_labels_and_membership_are_cached_and_read_only():
+    part = ClusterPartition.from_groups([(0, 3), (1, 2, 5), (4,)], 6)
+    # the loops each access ran before the arrays were cached
+    labels = np.empty(6, dtype=np.int64)
+    membership = np.zeros((6, 3), dtype=np.int64)
+    for k, g in enumerate(part.groups):
+        labels[list(g)] = k
+        membership[list(g), k] = 1
+    for name, want in (("labels", labels), ("membership", membership)):
+        got = getattr(part, name)
+        assert getattr(part, name) is got
+        assert not got.flags.writeable
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(

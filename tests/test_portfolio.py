@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorcluster.assembly import sample_cov
+from factorcluster.assembly import assemble, sample_cov
+from factorcluster.clustering import run_clustering_pipeline
 from factorcluster.errors import EstimationError
+from factorcluster.factors import fit_loadings
 from factorcluster.panel import FactorPanel, ReturnsPanel
 from factorcluster.portfolio import (
     BacktestConfig,
@@ -64,7 +66,7 @@ def exhaustive_long_only(sigma):
 
 def test_unconstrained_hand_case():
     precision = np.diag([1.0, 0.5])  # sigma = diag(1, 2)
-    assert np.allclose(min_var_unconstrained(precision), [2 / 3, 1 / 3])
+    assert np.allclose(min_var_unconstrained(precision @ np.ones(2)), [2 / 3, 1 / 3])
 
 
 def test_unconstrained_matches_solve_oracle():
@@ -75,15 +77,15 @@ def test_unconstrained_matches_solve_oracle():
         precision = np.linalg.inv(sigma)
         raw = np.linalg.solve(sigma, np.ones(p))
         expected = raw / raw.sum()
-        got = min_var_unconstrained(precision)
+        got = min_var_unconstrained(precision @ np.ones(p))
         assert np.allclose(got, expected, atol=1e-10)
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unconstrained_rejects_degenerate_and_nonsquare():
     with pytest.raises(EstimationError, match="not positive"):
-        min_var_unconstrained(np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="square"):
+        min_var_unconstrained(np.zeros(3))
+    with pytest.raises(ValueError, match="vector"):
         min_var_unconstrained(np.ones((2, 3)))
 
 
@@ -323,6 +325,33 @@ def test_backtest_cluster_estimator_end_to_end():
     again = backtest(sim.returns, sim.factors, config)
     assert np.array_equal(report.daily_returns, again.daily_returns)
     assert np.array_equal(report.weights, again.weights)
+
+
+def _window_estimate(sim, start, stop):
+    """The cluster estimate on validated copies of rows ``[start, stop)``."""
+    r, f = sim.returns, sim.factors
+    win_r = ReturnsPanel(r.times[start:stop], r.names, r.values[start:stop].copy())
+    win_f = FactorPanel(f.times[start:stop], f.names, f.values[start:stop].copy())
+    fit = fit_loadings(win_r, win_f)
+    return assemble(fit, run_clustering_pipeline(fit.residuals).partition)
+
+
+@pytest.mark.parametrize("scheme", ["unconstrained", "long_only"])
+def test_backtest_weights_match_a_dense_fit_on_window_copies(scheme):
+    # unconstrained: the Woodbury solve agrees with the dense precision's
+    # row sums; long-only reads the same sigma, so it is bitwise unchanged
+    sim = generate(default_config(p=40, n_clusters=4, n_periods=160, seed=29))
+    config = BacktestConfig(train_window=120, rebalance_every=10, scheme=scheme)
+    report = backtest(sim.returns, sim.factors, config)
+    assert report.weights.shape == (4, 40)
+    for j, w in enumerate(report.weights):
+        t = 120 + 10 * j
+        est = _window_estimate(sim, t - 120, t)
+        if scheme == "long_only":
+            assert np.array_equal(w, min_var_long_only(est.sigma))
+        else:
+            prec = est.precision
+            assert np.abs(w - prec.sum(axis=1) / prec.sum()).max() <= 1e-12
 
 
 def test_backtest_long_only_weights_feasible():
