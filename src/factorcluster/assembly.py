@@ -15,9 +15,11 @@ with a single (r + K) x (r + K) solve:
 ``_woodbury_solve`` is that identity. ``AssembledEstimate.solve`` applies
 it to a vector or a few columns in O(p (r + K)^2), with no p x p matrix;
 the dense precision is the same identity with b = I. With L = A and
-C = S_z it gives Sigma_u^-1 for Sigma_u = A S_z A' + S_e. An estimate
-keeps only these components; each dense p x p matrix is built on its
-first access.
+C = S_z it gives Sigma_u^-1 for Sigma_u = A S_z A' + S_e. The same
+factors give ``Sigma w`` in O(p (r + K)), the variances, and a principal
+block ``Sigma[idx, idx]`` from the rows ``L[idx]``; the long-only solver
+reads the estimate through these. An estimate keeps only these
+components; each dense p x p matrix is built on its first access.
 """
 
 from __future__ import annotations
@@ -140,7 +142,8 @@ class AssembledEstimate:
     ``sigma`` and ``precision`` are built from ``structured`` on first
     access and cached; ``sigma_u`` and ``precision_u``, the covariance
     without the factor layer and its inverse, are rebuilt on every access.
-    ``solve`` works on ``structured`` alone and builds neither.
+    ``solve``, ``matvec``, ``block`` and ``diagonal`` work on
+    ``structured`` alone and build neither.
     """
 
     structured: StructuredCovariance
@@ -167,12 +170,37 @@ class AssembledEstimate:
         eye = np.eye(a.shape[0])
         return _freeze(symmetrize(_woodbury_solve(st.idio_var, a, st.cluster_cov, eye)))
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """``Sigma^-1 b`` for a length-p vector or a p x m matrix, in O(p (r + K)^2)."""
+    @cached_property
+    def _low_rank(self) -> tuple[np.ndarray, np.ndarray]:
+        """``L = [B | A]`` and ``C = blockdiag(S_f, S_z)``."""
         st = self.structured
         low = np.hstack([st.loadings, st.partition.membership.astype(np.float64)])
-        core = block_diag(st.factor_cov, st.cluster_cov)
-        return _woodbury_solve(st.idio_var, low, core, np.asarray(b, dtype=np.float64))
+        return low, block_diag(st.factor_cov, st.cluster_cov)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``Sigma^-1 b`` for a length-p vector or a p x m matrix, in O(p (r + K)^2)."""
+        low, core = self._low_rank
+        return _woodbury_solve(
+            self.structured.idio_var, low, core, np.asarray(b, dtype=np.float64)
+        )
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """``Sigma w`` for a length-p vector, in O(p (r + K))."""
+        low, core = self._low_rank
+        return low @ (core @ (low.T @ w)) + self.structured.idio_var * w
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        """``Sigma[idx, idx]`` from the rows ``L[idx]``, C and ``v[idx]``."""
+        low, core = self._low_rank
+        rows = low[idx]
+        out = rows @ core @ rows.T
+        out.flat[:: len(rows) + 1] += self.structured.idio_var[idx]
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """The variances ``diag(Sigma)``, in O(p (r + K)^2)."""
+        low, core = self._low_rank
+        return np.einsum("ij,ij->i", low @ core, low) + self.structured.idio_var
 
 
 def _sigma_u(structured: StructuredCovariance) -> np.ndarray:

@@ -1,27 +1,30 @@
 """Minimum-variance portfolios and rolling out-of-sample backtests.
 
 The unconstrained weights are ``Sigma^{-1} 1 / (1' Sigma^{-1} 1)``, so
-they need only the vector ``Sigma^{-1} 1``; the long-only variant
-minimizes ``w' Sigma w`` over the probability simplex with accelerated
-projected gradient, which every 10 iterations solves the
-equality-constrained problem exactly on the current support and stops
-at the first such solution that meets the KKT conditions.
-Backtests rebalance on a rolling window with no lookahead:
+they need only the vector ``Sigma^{-1} 1``. The long-only variant
+minimizes ``w' Sigma w`` over the probability simplex exactly: the
+simplex projection of the unconstrained weights is returned when it
+meets the KKT conditions, and otherwise a primal active-set method
+(Lawson and Hanson) adds and drops one name per step, solving the
+bordered equality-constrained system on the current support. It reads
+the covariance through ``Sigma^{-1} 1``, ``Sigma w``, the variances and
+principal blocks, so on a cluster estimate it never forms the p x p
+matrix. Backtests rebalance on a rolling window with no lookahead:
 the window for a test day ends strictly before that day. The windows
 are read-only row views of the aligned panels. Each window yields one
-estimate object: the unconstrained scheme takes ``Sigma^{-1} 1`` from
-its ``solve``, which for the cluster estimator is one Woodbury solve of
-size r + K, and only the long-only scheme builds the dense covariance.
+estimate object, which both schemes read through its structure: for the
+cluster estimator ``solve`` is one Woodbury solve of size r + K. The
+sample estimator's long-only scheme reads its dense covariance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .assembly import AssembledEstimate, SampleEstimate, assemble, sample_cov
 from .clustering import DEFAULT_CQ, DEFAULT_DELTA, run_clustering_pipeline
@@ -80,107 +83,113 @@ def _kkt_residual(grad: np.ndarray, w: np.ndarray) -> float:
     return max(on, off)
 
 
+def _support_weights(sub: np.ndarray) -> np.ndarray:
+    """Minimizer of ``x' sub x`` subject to ``1'x = 1``, from the bordered KKT system.
+
+    The bordered matrix ``[[sub, 1], [1', 0]]`` stays nonsingular when
+    ``sub`` is singular (a sample window with T <= p) as long as no
+    direction summing to zero has zero variance, which holds on every
+    support the active-set method visits.
+    """
+    m = sub.shape[0]
+    kkt = np.ones((m + 1, m + 1))
+    kkt[:m, :m] = sub
+    kkt[m, m] = 0.0
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    return np.linalg.solve(kkt, rhs)[:m]
+
+
 def min_var_long_only(
-    sigma: np.ndarray,
+    sigma: np.ndarray | AssembledEstimate,
     tol: float = _KKT_TOL,
     max_iter: int = _MAX_ITER,
 ) -> np.ndarray:
     """Long-only minimum-variance weights on the simplex.
 
-    If the unconstrained solution is already nonnegative (within 1e-6)
-    it is clipped, renormalized, and returned directly. Otherwise
-    accelerated projected gradient runs with step ``1/L``,
-    ``L = 2 lambda_max(Sigma)``; every 10 iterations, when the
-    support ``{w > 0}`` has changed, the equality-constrained problem is
-    solved exactly on it, and the first nonnegative solution whose KKT
-    residual is below ``tol * scale`` (scale = max(1, |grad|_inf)) is
-    returned. If the iterate meets that tolerance first, the exact solve
-    is tried on its support (entries below ``1e-10 * max(w)`` dropped)
-    and the iterate is returned only when that fails.
+    ``sigma`` is a dense square covariance or an ``AssembledEstimate``,
+    which is read through ``solve``, ``matvec``, ``block`` and
+    ``diagonal`` without building the dense matrix. With g = 2 Sigma w,
+    lam = g'w and scale = max(1, |g|_inf), w is optimal when
+    ``g_i = lam`` on its support and no ``g_i < lam - tol * scale``.
+
+    Fast path: the projection of ``Sigma^-1 1 / (1' Sigma^-1 1)`` onto
+    the simplex, returned if its scaled KKT residual is at most ``tol``.
+    Otherwise the primal active-set method of Lawson and Hanson runs
+    from the lowest-variance name (ties to the smallest index). Each
+    step solves the equality-constrained problem exactly on the free set.
+    If that solution is nonnegative it is taken, and the name that most
+    violates KKT joins the free set (ties to the smallest index); when
+    none does, it is returned. Otherwise the weights step toward the
+    solution until the first one reaches zero, and that name leaves.
 
     Raises
     ------
     EstimationError
-        If the iteration cap is reached before meeting the tolerance.
+        If the covariance is exactly zero, or ``max_iter`` steps end
+        before meeting the tolerance.
     """
-    s = np.asarray(sigma, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {s.shape}")
     if tol <= 0 or max_iter < 1:
         raise ValueError("need tol > 0 and max_iter >= 1")
-    p = s.shape[0]
+    if isinstance(sigma, AssembledEstimate):
+        matvec, block, solve = sigma.matvec, sigma.block, sigma.solve
+        variances = sigma.diagonal()
+    else:
+        s = np.asarray(sigma, dtype=np.float64)
+        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {s.shape}")
+        s = symmetrize(s)
+        matvec, solve = s.dot, functools.partial(np.linalg.solve, s)
+        variances = s.diagonal()
+
+        def block(idx: np.ndarray) -> np.ndarray:
+            return s[np.ix_(idx, idx)]
+
+    p = variances.size
     if p == 1:
         return np.array([1.0])
-    s = symmetrize(s)
-
-    def scaled_resid(w: np.ndarray) -> float:
-        g = 2.0 * (s @ w)
-        return _kkt_residual(g, w) / max(1.0, float(np.abs(g).max()))
-
-    def support_solve(support: np.ndarray) -> np.ndarray | None:
-        """The exact minimizer on ``support`` if it is feasible and meets KKT."""
-        idx = np.flatnonzero(support)
-        try:
-            sub = np.linalg.solve(s[np.ix_(idx, idx)], np.ones(idx.size))
-        except np.linalg.LinAlgError:
-            return None
-        denom = sub.sum()
-        if not (denom > 1e-12 and sub.min() / denom >= -1e-12):
-            return None
-        cand = np.zeros(p)
-        cand[idx] = np.maximum(sub / denom, 0.0)
-        cand /= cand.sum()
-        return cand if scaled_resid(cand) <= tol else None
+    if not variances.max() > 0.0:
+        raise EstimationError("covariance matrix is exactly zero")
 
     try:
-        raw = np.linalg.solve(s, np.ones(p))
-        denom = raw.sum()
-        if denom > 1e-12:
-            cand = raw / denom
-            if cand.min() >= -1e-6:
-                cand = np.maximum(cand, 0.0)
-                cand /= cand.sum()
-                if scaled_resid(cand) <= tol:
-                    return cand
+        raw = solve(np.ones(p))
     except np.linalg.LinAlgError:
-        pass
+        raw = None
+    if raw is not None:
+        denom = raw.sum()
+        if 1e-12 < denom < math.inf:
+            w = project_simplex(raw / denom)
+            g = 2.0 * matvec(w)
+            if _kkt_residual(g, w) <= tol * max(1.0, float(np.abs(g).max())):
+                return w
 
-    lip = 2.0 * eigh(s, eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
-    if not lip > 0.0:
-        raise EstimationError("covariance matrix is exactly zero")
-    step = 1.0 / lip
-    w = np.full(p, 1.0 / p)
-    y = w.copy()
-    theta = 1.0
-    tried = np.ones(p, dtype=bool)  # the full support failed the fast path
-    converged = False
-    for it in range(max_iter):
-        w_next = project_simplex(y - step * 2.0 * (s @ y))
-        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        y = w_next + ((theta - 1.0) / theta_next) * (w_next - w)
-        w = w_next
-        theta = theta_next
-        if it % 10 == 0:
-            support = w > 0.0
-            if not np.array_equal(support, tried):
-                tried = support
-                cand = support_solve(support)
-                if cand is not None:
-                    return cand
-            if scaled_resid(w) <= tol:
-                converged = True
-                break
-    if not converged and scaled_resid(w) > tol:
-        raise EstimationError(
-            f"long-only solver did not reach tolerance {tol:g} "
-            f"in {max_iter} iterations"
-        )
-
-    cand = support_solve(w > 1e-10 * w.max())
-    if cand is not None:
-        return cand
-    w = np.maximum(w, 0.0)
-    return w / w.sum()
+    free = [int(np.argmin(variances))]
+    w = np.zeros(p)  # read only on the free set until a solution is taken
+    w[free] = 1.0
+    for _ in range(max_iter):
+        idx = np.array(free)
+        x = _support_weights(block(idx))
+        if x.min() >= 0.0:
+            w = np.zeros(p)
+            w[idx] = x
+            g = 2.0 * matvec(w)
+            floor = float(g @ w) - tol * max(1.0, float(np.abs(g).max()))
+            g[idx] = np.inf
+            j = int(np.argmin(g))
+            if not g[j] < floor:
+                return w
+            free.append(j)
+        else:
+            cur = w[idx]
+            neg = np.flatnonzero(x < 0.0)
+            ratios = cur[neg] / (cur[neg] - x[neg])
+            step = cur + ratios.min() * (x - cur)
+            step[neg[np.argmin(ratios)]] = 0.0
+            w[idx] = step
+            free = [i for i, wi in zip(free, step) if wi > 0.0]
+    raise EstimationError(
+        f"long-only solver did not reach tolerance {tol:g} in {max_iter} iterations"
+    )
 
 
 @dataclass(frozen=True)
@@ -312,7 +321,7 @@ def backtest(
                 if config.scheme == "unconstrained":
                     w = min_var_unconstrained(est.solve(np.ones(returns.n_series)))
                 else:
-                    w = min_var_long_only(est.sigma)
+                    w = min_var_long_only(est if config.estimator == "cluster" else est.sigma)
             except EstimationError as exc:
                 raise EstimationError(
                     f"estimation failed on window ending {times[t - 1]}: {exc}"

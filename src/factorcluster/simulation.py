@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainc
 
 from .assembly import (
     AssembledEstimate,
@@ -114,9 +114,7 @@ def sample_idio_sd(
     if n < 1:
         raise ValueError("n must be positive")
     shape, scale = gamma_params(mean, sd)
-    mass = stats.gamma.cdf(upper, a=shape, scale=scale) - stats.gamma.cdf(
-        lower, a=shape, scale=scale
-    )
+    mass = gammainc(shape, upper / scale) - gammainc(shape, lower / scale)
     if mass < _MIN_TRUNCATION_MASS:
         raise EstimationError(
             f"truncation interval [{lower}, {upper}] carries probability "

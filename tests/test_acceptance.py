@@ -43,6 +43,7 @@ from factorcluster.simulation import (
 )
 
 from test_assembly import dense_oracle, random_structure
+from test_cli import CLI_ENV
 from test_clustering import (
     ari_oracle,
     residual_cov_oracle,
@@ -233,7 +234,7 @@ def _run_cli(args, threads=None):
     cmd = [sys.executable, "-m", "factorcluster.cli"]
     if threads is not None:
         cmd += ["--threads", str(threads)]
-    result = subprocess.run(cmd + args, capture_output=True, text=True)
+    result = subprocess.run(cmd + args, capture_output=True, text=True, env=CLI_ENV)
     assert result.returncode == 0, result.stderr
     return result
 

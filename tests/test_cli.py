@@ -11,6 +11,11 @@ from factorcluster.panel import save_panel_csv, write_text_atomic
 from factorcluster.simulation import default_config, generate
 
 CLI = [sys.executable, "-m", "factorcluster.cli"]
+# pytest's pythonpath setting does not reach a subprocess
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CLI_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+)
 
 
 def run_cli(*args, threads=None):
@@ -18,7 +23,7 @@ def run_cli(*args, threads=None):
     if threads is not None:
         cmd += ["--threads", str(threads)]
     cmd += [str(a) for a in args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, env=CLI_ENV)
 
 
 def read_bytes(path):

@@ -1,13 +1,14 @@
 """Minimum-variance weights, simplex projection, and rolling backtests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorcluster.assembly import assemble, sample_cov
+from factorcluster.assembly import assemble, assemble_from_structure, sample_cov
 from factorcluster.clustering import run_clustering_pipeline
 from factorcluster.errors import EstimationError
 from factorcluster.factors import fit_loadings
@@ -25,6 +26,8 @@ from factorcluster.portfolio import (
     summary_stats,
 )
 from factorcluster.simulation import default_config, generate
+
+from test_assembly import estimates_and_right_hand_sides
 
 
 def random_spd(rng, p):
@@ -185,6 +188,53 @@ def test_long_only_returns_exact_solution_on_its_support(seed):
     assert np.abs(w - exact).max() <= 1e-12
 
 
+@st.composite
+def cluster_estimates(draw):
+    """Structured estimates with no singleton cluster; a market factor
+    (first loading column shifted by 1) keeps most optima off the full
+    support."""
+    structured = draw(estimates_and_right_hand_sides())[0].structured
+    market = np.arange(structured.loadings.shape[1]) == 0
+    return assemble_from_structure(replace(structured, loadings=structured.loadings + market))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(cluster_estimates())
+def test_long_only_on_the_structured_estimate_matches_the_dense_solve(est):
+    w = min_var_long_only(est)
+    assert "sigma" not in vars(est)
+    dense = min_var_long_only(est.sigma)
+    assert np.array_equal(w > 0.0, dense > 0.0)
+    assert np.abs(w - dense).max() <= 1e-12
+    assert w.min() >= 0.0
+    assert simplex_kkt_residual(est.sigma, w) <= 1e-9
+
+
+def test_long_only_rank_one_sample_covariance():
+    # two rows give sigma = 2 a a'; with mixed signs in a, a long-only
+    # portfolio with zero variance exists, and every two-name block of
+    # sigma is singular
+    a = np.array([1.0, -2.0, 0.5, 3.0, -0.7])
+    sigma = sample_cov(np.vstack([a, -a]))
+    assert np.linalg.matrix_rank(sigma) == 1
+    w = min_var_long_only(sigma)
+    assert w.min() >= 0.0
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert simplex_kkt_residual(sigma, w) <= 1e-9
+    assert float(w @ sigma @ w) <= 1e-15
+
+
+def test_long_only_iteration_cap():
+    # the factor-model case of seed 0 above, whose optimum holds several
+    # names, needs more than one active-set step
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((60, 3)) * 0.5 + [1.0, 0.0, 0.0]
+    sigma = b @ b.T + np.diag(rng.uniform(0.2, 1.0, 60))
+    with pytest.raises(EstimationError, match="did not reach tolerance"):
+        min_var_long_only(sigma, max_iter=1)
+    assert np.count_nonzero(min_var_long_only(sigma)) > 1
+
+
 def test_long_only_validation():
     with pytest.raises(ValueError, match="square"):
         min_var_long_only(np.ones((2, 3)))
@@ -339,7 +389,8 @@ def _window_estimate(sim, start, stop):
 @pytest.mark.parametrize("scheme", ["unconstrained", "long_only"])
 def test_backtest_weights_match_a_dense_fit_on_window_copies(scheme):
     # unconstrained: the Woodbury solve agrees with the dense precision's
-    # row sums; long-only reads the same sigma, so it is bitwise unchanged
+    # row sums; long-only reads the same structured estimate, so it is
+    # bitwise unchanged, and agrees with a solve on the dense sigma
     sim = generate(default_config(p=40, n_clusters=4, n_periods=160, seed=29))
     config = BacktestConfig(train_window=120, rebalance_every=10, scheme=scheme)
     report = backtest(sim.returns, sim.factors, config)
@@ -348,7 +399,8 @@ def test_backtest_weights_match_a_dense_fit_on_window_copies(scheme):
         t = 120 + 10 * j
         est = _window_estimate(sim, t - 120, t)
         if scheme == "long_only":
-            assert np.array_equal(w, min_var_long_only(est.sigma))
+            assert np.array_equal(w, min_var_long_only(est))
+            assert np.abs(w - min_var_long_only(est.sigma)).max() <= 1e-12
         else:
             prec = est.precision
             assert np.abs(w - prec.sum(axis=1) / prec.sum()).max() <= 1e-12
