@@ -14,8 +14,7 @@ with a single (r + K) x (r + K) solve:
 
 ``_woodbury_solve`` is that identity. ``AssembledEstimate.solve`` applies
 it to a vector or a few columns in O(p (r + K)^2), with no p x p matrix;
-the dense precision is the same identity with b = I. With L = A and
-C = S_z it gives Sigma_u^-1 for Sigma_u = A S_z A' + S_e. The same
+the dense precision is the same identity with b = I. The same
 factors give ``Sigma w`` in O(p (r + K)), the variances, and a principal
 block ``Sigma[idx, idx]`` from the rows ``L[idx]``; the long-only solver
 reads the estimate through these. An estimate keeps only these
@@ -29,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import EstimationError
 from .factors import FactorFit
@@ -140,10 +138,8 @@ class AssembledEstimate:
     """An assembled estimate: its structured form and the dense matrices.
 
     ``sigma`` and ``precision`` are built from ``structured`` on first
-    access and cached; ``sigma_u`` and ``precision_u``, the covariance
-    without the factor layer and its inverse, are rebuilt on every access.
-    ``solve``, ``matvec``, ``block`` and ``diagonal`` work on
-    ``structured`` alone and build neither.
+    access and cached. ``solve``, ``matvec``, ``block`` and ``diagonal``
+    work on ``structured`` alone and build neither.
     """
 
     structured: StructuredCovariance
@@ -152,30 +148,25 @@ class AssembledEstimate:
     def sigma(self) -> np.ndarray:
         st = self.structured
         b = st.loadings
-        return _freeze(symmetrize(b @ st.factor_cov @ b.T) + _sigma_u(st))
+        a = st.partition.membership.astype(np.float64)
+        sigma_u = symmetrize(a @ st.cluster_cov @ a.T) + np.diag(st.idio_var)
+        return _freeze(symmetrize(b @ st.factor_cov @ b.T) + sigma_u)
 
     @cached_property
     def precision(self) -> np.ndarray:
         p = self.structured.idio_var.size
         return _freeze(symmetrize(self.solve(np.eye(p))))
 
-    @property
-    def sigma_u(self) -> np.ndarray:
-        return _freeze(_sigma_u(self.structured))
-
-    @property
-    def precision_u(self) -> np.ndarray:
-        st = self.structured
-        a = st.partition.membership.astype(np.float64)
-        eye = np.eye(a.shape[0])
-        return _freeze(symmetrize(_woodbury_solve(st.idio_var, a, st.cluster_cov, eye)))
-
     @cached_property
     def _low_rank(self) -> tuple[np.ndarray, np.ndarray]:
         """``L = [B | A]`` and ``C = blockdiag(S_f, S_z)``."""
         st = self.structured
         low = np.hstack([st.loadings, st.partition.membership.astype(np.float64)])
-        return low, block_diag(st.factor_cov, st.cluster_cov)
+        r = st.factor_cov.shape[0]
+        core = np.zeros((low.shape[1], low.shape[1]))
+        core[:r, :r] = st.factor_cov
+        core[r:, r:] = st.cluster_cov
+        return low, core
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``Sigma^-1 b`` for a length-p vector or a p x m matrix, in O(p (r + K)^2)."""
@@ -201,11 +192,6 @@ class AssembledEstimate:
         """The variances ``diag(Sigma)``, in O(p (r + K)^2)."""
         low, core = self._low_rank
         return np.einsum("ij,ij->i", low @ core, low) + self.structured.idio_var
-
-
-def _sigma_u(structured: StructuredCovariance) -> np.ndarray:
-    a = structured.partition.membership.astype(np.float64)
-    return symmetrize(a @ structured.cluster_cov @ a.T) + np.diag(structured.idio_var)
 
 
 def _woodbury_solve(

@@ -418,11 +418,16 @@ def load_partition_csv(path: str, names) -> ClusterPartition:
 def align(returns: ReturnsPanel, factors: FactorPanel) -> tuple[ReturnsPanel, FactorPanel]:
     """Restrict both panels to their shared time labels, kept in time order.
 
+    Panels whose labels already match are returned as they are: they are
+    frozen and were validated when built.
+
     Raises
     ------
     PanelFormatError
         If fewer than 2 time labels are shared.
     """
+    if returns.times == factors.times:
+        return returns, factors
     shared = sorted(set(returns.times) & set(factors.times))
     if len(shared) < 2:
         raise PanelFormatError(

@@ -10,11 +10,14 @@ bordered equality-constrained system on the current support. It reads
 the covariance through ``Sigma^{-1} 1``, ``Sigma w``, the variances and
 principal blocks, so on a cluster estimate it never forms the p x p
 matrix. Backtests rebalance on a rolling window with no lookahead:
-the window for a test day ends strictly before that day. The windows
-are read-only row views of the aligned panels. Each window yields one
-estimate object, which both schemes read through its structure: for the
-cluster estimator ``solve`` is one Woodbury solve of size r + K. The
-sample estimator's long-only scheme reads its dense covariance.
+the window for a test day ends strictly before that day. One function
+maps a window, a read-only row view of the aligned panels, to its
+weights; the backtest calls it once per rebalance, in date order, and
+prices every test day in one product of the held weights with the
+returns. Each window yields one estimate object, which both schemes
+read through its structure: for the cluster estimator ``solve`` is one
+Woodbury solve of size r + K. The sample estimator's long-only scheme
+reads its dense covariance.
 """
 
 from __future__ import annotations
@@ -257,17 +260,36 @@ def summary_stats(
     return av, sd, ir
 
 
-def _estimate_window(
+def _window_weights(
     returns: ReturnsPanel,
     factors: FactorPanel,
     config: BacktestConfig,
-) -> AssembledEstimate | SampleEstimate:
-    """The configured estimator fit on one window."""
-    if config.estimator == "cluster":
-        fit = fit_loadings(returns, factors)
-        pipe = run_clustering_pipeline(fit.residuals, delta=config.delta, c_q=config.c_q)
-        return assemble(fit, pipe.partition)
-    return SampleEstimate(sample_cov(returns.values), returns.n_periods)
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """Weights of the configured estimator and scheme fit on rows ``[start, stop)``.
+
+    Raises
+    ------
+    EstimationError
+        If the window estimate or its weights fail; the message carries
+        the window end date.
+    """
+    window = returns.rows(start, stop)
+    try:
+        if config.estimator == "cluster":
+            fit = fit_loadings(window, factors.rows(start, stop))
+            pipe = run_clustering_pipeline(fit.residuals, delta=config.delta, c_q=config.c_q)
+            est = assemble(fit, pipe.partition)
+        else:
+            est = SampleEstimate(sample_cov(window.values), window.n_periods)
+        if config.scheme == "unconstrained":
+            return min_var_unconstrained(est.solve(np.ones(window.n_series)))
+        return min_var_long_only(est if config.estimator == "cluster" else est.sigma)
+    except EstimationError as exc:
+        raise EstimationError(
+            f"estimation failed on window ending {returns.times[stop - 1]}: {exc}"
+        ) from exc
 
 
 def backtest(
@@ -283,7 +305,9 @@ def backtest(
     with weights fit on the ``train_window`` rows strictly before it;
     weights refresh every ``rebalance_every`` test days. The test range
     defaults to every day with a full training window and can be
-    narrowed by inclusive date bounds.
+    narrowed by inclusive date bounds. Each rebalance is one call of
+    ``_window_weights``, in date order, and all test days are then
+    priced by one product of the held weights with their returns.
 
     Raises
     ------
@@ -294,49 +318,33 @@ def backtest(
     """
     returns, factors = align(returns, factors)
     times = returns.times
-    n = len(times)
-    lo = 0 if test_start is None else bisect_left(times, test_start)
-    hi = n if test_end is None else bisect_right(times, test_end)
-    explicit = test_start is not None or test_end is not None
-    if explicit:
-        test_idx = list(range(lo, hi))
+    window, every = config.train_window, config.rebalance_every
+    if test_start is None and test_end is None:
+        first, stop = window, len(times)
     else:
-        test_idx = list(range(config.train_window, n))
-    if not test_idx:
+        first = 0 if test_start is None else bisect_left(times, test_start)
+        stop = len(times) if test_end is None else bisect_right(times, test_end)
+    if first >= stop:
         raise EstimationError("test range contains no days")
-    if test_idx[0] < config.train_window:
+    if first < window:
         raise EstimationError(
-            f"test day {times[test_idx[0]]} has only {test_idx[0]} prior rows; "
-            f"train_window={config.train_window} required"
+            f"test day {times[first]} has only {first} prior rows; "
+            f"train_window={window} required"
         )
-    daily = np.empty(len(test_idx), dtype=np.float64)
-    weights_dates: list[str] = []
-    weights_rows: list[np.ndarray] = []
-    w: np.ndarray | None = None
-    for pos, t in enumerate(test_idx):
-        if pos % config.rebalance_every == 0:
-            start = t - config.train_window
-            try:
-                est = _estimate_window(returns.rows(start, t), factors.rows(start, t), config)
-                if config.scheme == "unconstrained":
-                    w = min_var_unconstrained(est.solve(np.ones(returns.n_series)))
-                else:
-                    w = min_var_long_only(est if config.estimator == "cluster" else est.sigma)
-            except EstimationError as exc:
-                raise EstimationError(
-                    f"estimation failed on window ending {times[t - 1]}: {exc}"
-                ) from exc
-            weights_dates.append(times[t])
-            weights_rows.append(w)
-        daily[pos] = float(np.sum(w * returns.values[t]))
+    rebalances = range(first, stop, every)
+    weights = np.vstack(
+        [_window_weights(returns, factors, config, t - window, t) for t in rebalances]
+    )
+    held = weights[np.arange(stop - first) // every]
+    daily = (held * returns.values[first:stop]).sum(axis=1)
     av, sd, ir = summary_stats(daily, config.annualization, config.inputs_in_percent)
     return BacktestReport(
         config=config,
-        dates=tuple(times[t] for t in test_idx),
+        dates=times[first:stop],
         daily_returns=daily,
         cumulative=np.cumsum(daily),
-        weights_dates=tuple(weights_dates),
-        weights=np.vstack(weights_rows),
+        weights_dates=tuple(times[t] for t in rebalances),
+        weights=weights,
         series_names=returns.names,
         av=av,
         sd=sd,

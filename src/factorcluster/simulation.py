@@ -491,6 +491,30 @@ def _losses(
     return weighted_quadratic_norm(diff, truth.sigma), max_norm(diff), prec_loss
 
 
+def _replication(
+    cell: ExperimentCell, seed: int, delta: float, c_q: float
+) -> tuple[float, float, tuple[float, float, float], tuple[float, float, float]] | None:
+    """One replication of ``cell``: (K hit, ARI, cluster losses, sample losses).
+
+    Returns None if any step raises an estimation error or a
+    ``LinAlgError``, so nothing of a failed replication is recorded.
+    """
+    config = default_config(cell.p, cell.n_clusters, cell.n_periods, seed, cell.mode)
+    try:
+        sim = generate(config)
+        truth = sim.truth.assembled()
+        fit = fit_loadings(sim.returns, sim.factors)
+        pipe = run_clustering_pipeline(fit.residuals, delta=delta, c_q=c_q)
+        cluster_loss = _losses(assemble(fit, pipe.partition), truth)
+        sample = SampleEstimate(sample_cov(sim.returns.values), cell.n_periods)
+        sample_loss = _losses(sample, truth)
+    except (FactorClusterError, np.linalg.LinAlgError):
+        return None
+    k_hit = 1.0 if pipe.partition.n_clusters == cell.n_clusters else 0.0
+    ari = adjusted_rand_index(sim.truth.partition, pipe.partition)
+    return k_hit, ari, cluster_loss, sample_loss
+
+
 def run_experiment(
     cells=DEFAULT_GRID,
     n_reps: int = DEFAULT_REPS,
@@ -501,14 +525,14 @@ def run_experiment(
 ) -> list[ExperimentRow]:
     """Monte Carlo comparison of the cluster estimator against the sample covariance.
 
-    For each cell and replication the panel is regenerated from a
-    derived seed, both estimators are fit, and estimation losses
-    against the true covariance are recorded (weighted quadratic norm,
-    entrywise max norm, and operator-norm precision loss; the latter is
-    left undefined for a numerically singular sample covariance).
-    A replication that raises an estimation error or a
-    ``LinAlgError`` is counted under ``failures`` for its cell and
-    records none of its values; the grid carries on.
+    Each replication is one call of ``_replication``, in rep order: the
+    panel is regenerated from a derived seed, both estimators are fit,
+    and estimation losses against the true covariance are recorded
+    (weighted quadratic norm, entrywise max norm, and operator-norm
+    precision loss; the latter is left undefined for a numerically
+    singular sample covariance). A replication that raises an
+    estimation error or a ``LinAlgError`` returns None; a cell's
+    ``failures`` is the count of those, and the grid carries on.
 
     Returns two rows per cell, estimator ``"cluster"`` then ``"sample"``.
     """
@@ -517,52 +541,20 @@ def run_experiment(
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     for cell in cells:
-        k_hits: list[float] = []
-        aris: list[float] = []
-        losses: dict[str, list[tuple[float, float, float]]] = {"cluster": [], "sample": []}
-        failures = 0
+        done = []
         for rep in range(n_reps):
-            seed = replication_seed(base_seed, rep)
-            config = default_config(
-                p=cell.p,
-                n_clusters=cell.n_clusters,
-                n_periods=cell.n_periods,
-                seed=seed,
-                mode=cell.mode,
-            )
-            try:
-                sim = generate(config)
-                truth = sim.truth.assembled()
-                fit = fit_loadings(sim.returns, sim.factors)
-                pipe = run_clustering_pipeline(fit.residuals, delta=delta, c_q=c_q)
-                cluster_loss = _losses(assemble(fit, pipe.partition), truth)
-                sample = SampleEstimate(sample_cov(sim.returns.values), cell.n_periods)
-                sample_loss = _losses(sample, truth)
-            except (FactorClusterError, np.linalg.LinAlgError):
-                # nothing is recorded until every loss of the replication exists
-                failures += 1
-                continue
-            k_hits.append(1.0 if pipe.partition.n_clusters == cell.n_clusters else 0.0)
-            aris.append(adjusted_rand_index(sim.truth.partition, pipe.partition))
-            losses["cluster"].append(cluster_loss)
-            losses["sample"].append(sample_loss)
-            if progress is not None:
-                progress(cell, rep)
-        for name, recorded in losses.items():
+            result = _replication(cell, replication_seed(base_seed, rep), delta, c_q)
+            if result is not None:
+                done.append(result)
+                if progress is not None:
+                    progress(cell, rep)
+        failures = n_reps - len(done)
+        k_hits, aris, *losses = zip(*done) if done else ((),) * 4
+        k_ari = (float(np.mean(k_hits)), float(np.mean(aris))) if done else (None, None)
+        for name, recorded, first in zip(("cluster", "sample"), losses, (k_ari, (None, None))):
             columns = list(zip(*recorded)) or [(), (), ()]  # no replication succeeded
             stats = [s for column in columns for s in _mean_se(list(column))]
-            is_cluster = name == "cluster"
-            rows.append(
-                ExperimentRow(
-                    cell,
-                    name,
-                    n_reps,
-                    failures,
-                    float(np.mean(k_hits)) if is_cluster and k_hits else None,
-                    float(np.mean(aris)) if is_cluster and aris else None,
-                    *stats,
-                )
-            )
+            rows.append(ExperimentRow(cell, name, n_reps, failures, *first, *stats))
     return rows
 
 

@@ -115,8 +115,6 @@ def test_two_series_identity_hand_case():
     est = assemble_from_structure(structured)
     assert np.allclose(est.sigma, np.eye(2) + 1.0, atol=1e-15)
     assert np.allclose(est.precision, np.eye(2) - np.ones((2, 2)) / 3, atol=1e-14)
-    assert np.allclose(est.sigma_u, est.sigma)
-    assert np.allclose(est.precision_u, est.precision)
 
 
 def test_assembly_matches_dense_oracle():
@@ -127,11 +125,9 @@ def test_assembly_matches_dense_oracle():
         r = int(rng.integers(0, 4))
         structured = random_structure(rng, p, k, r)
         est = assemble_from_structure(structured)
-        sigma, sigma_u, precision, precision_u = dense_oracle(structured)
+        sigma, _, precision, _ = dense_oracle(structured)
         assert np.allclose(est.sigma, sigma, atol=1e-12)
-        assert np.allclose(est.sigma_u, sigma_u, atol=1e-12)
         assert np.allclose(est.precision, precision, atol=1e-8)
-        assert np.allclose(est.precision_u, precision_u, atol=1e-8)
         identity = est.sigma @ est.precision
         assert max_norm(identity - np.eye(p)) < 1e-8
 
@@ -139,7 +135,7 @@ def test_assembly_matches_dense_oracle():
 def test_assembled_matrices_are_symmetric_and_frozen():
     structured = random_structure(np.random.default_rng(33), 10, 3, 2)
     est = assemble_from_structure(structured)
-    for m in (est.sigma, est.sigma_u, est.precision, est.precision_u):
+    for m in (est.sigma, est.precision):
         assert np.array_equal(m, m.T)
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
@@ -233,7 +229,6 @@ def test_dense_precisions_bitwise_equal_the_woodbury_inverse(p, k, r):
     core = block_diag(structured.factor_cov, structured.cluster_cov)
     v = structured.idio_var
     assert np.array_equal(est.precision, woodbury_inverse_reference(v, low, core))
-    assert np.array_equal(est.precision_u, woodbury_inverse_reference(v, a, structured.cluster_cov))
 
 
 @st.composite

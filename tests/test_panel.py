@@ -312,6 +312,14 @@ def test_align_intersects_in_time_order():
     assert np.array_equal(fa.values[:, 0], [20.0, 40.0])
 
 
+def test_align_returns_its_inputs_when_dates_match():
+    times = ("2000-01-01", "2000-01-02")
+    r = ReturnsPanel(times, ("a",), np.zeros((2, 1)))
+    f = FactorPanel(times, ("f1",), np.ones((2, 1)))
+    ra, fa = align(r, f)
+    assert ra is r and fa is f
+
+
 def test_align_requires_two_shared_dates():
     r = ReturnsPanel(("2000-01-01", "2000-01-02"), ("a",), np.zeros((2, 1)))
     f = FactorPanel(("2000-01-02", "2000-01-03"), ("f1",), np.zeros((2, 1)))

@@ -307,6 +307,12 @@ def test_backtest_window_arithmetic_and_dates():
     w0 = report.weights[0]
     assert report.daily_returns[1] == pytest.approx(float(np.sum(w0 * values[6])))
     assert np.allclose(report.cumulative, np.cumsum(report.daily_returns))
+    # every 3 over 4 test days: the last block holds one day
+    report = backtest(returns, factors, replace(config, rebalance_every=3))
+    assert report.weights_dates == (returns.times[5], returns.times[8])
+    held = report.weights[[0, 0, 0, 1]]
+    for i, (w, t) in enumerate(zip(held, range(5, 9))):
+        assert report.daily_returns[i] == float(np.sum(w * values[t]))
 
 
 def test_backtest_has_no_lookahead():
