@@ -4,13 +4,19 @@ Given factor loadings B, factor covariance S_f, a partition with
 membership matrix A, cluster covariance S_z, and idiosyncratic
 variances S_e = diag(v), the assembled estimate
 
-    Sigma = B S_f B' + A S_z A' + S_e = L C L' + S_e,
-    L = [B | A],  C = blockdiag(S_f, S_z),
+    Sigma = B S_f B' + A S_z A' + S_e = L C L' + diag(d),
+    L = [B | A],
 
-is low rank plus diagonal, so one Woodbury identity solves against it
-with a single (r + K) x (r + K) solve:
+is low rank plus diagonal. C = blockdiag(S_f, S_z) and d = v, except
+at a singleton cluster k = {i}: its path is the member's own residual,
+so v_i is exactly 0, and its variance S_z[kk] moves from C onto d_i.
+Sigma is unchanged, every d_i is positive, and C may become singular;
+that is harmless, because one Woodbury identity solves against Sigma
+with a single (r + K) x (r + K) solve that never inverts C:
 
-    Sigma^-1 b = S_e^-1 b - W (I + C L' W)^-1 C W' b,   W = S_e^-1 L.
+    Sigma^-1 b = D^-1 b - W (I + C L' W)^-1 C W' b,   W = D^-1 L,
+
+with D = diag(d) (Henderson & Searle, SIAM Review 23, 1981).
 
 ``_woodbury_solve`` is that identity. ``AssembledEstimate.solve`` applies
 it to a vector or a few columns in O(p (r + K)^2), with no p x p matrix;
@@ -137,20 +143,18 @@ class StructuredCovariance:
 class AssembledEstimate:
     """An assembled estimate: its structured form and the dense matrices.
 
-    ``sigma`` and ``precision`` are built from ``structured`` on first
-    access and cached. ``solve``, ``matvec``, ``block`` and ``diagonal``
-    work on ``structured`` alone and build neither.
+    Every view reads the one form ``Sigma = L C L' + diag(d)`` of
+    ``_low_rank``. ``sigma`` and ``precision`` are built on first access
+    and cached; ``solve``, ``matvec``, ``block`` and ``diagonal`` build
+    neither.
     """
 
     structured: StructuredCovariance
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        st = self.structured
-        b = st.loadings
-        a = st.partition.membership.astype(np.float64)
-        sigma_u = symmetrize(a @ st.cluster_cov @ a.T) + np.diag(st.idio_var)
-        return _freeze(symmetrize(b @ st.factor_cov @ b.T) + sigma_u)
+        low, core, d = self._low_rank
+        return _freeze(symmetrize(low @ core @ low.T) + np.diag(d))
 
     @cached_property
     def precision(self) -> np.ndarray:
@@ -158,40 +162,45 @@ class AssembledEstimate:
         return _freeze(symmetrize(self.solve(np.eye(p))))
 
     @cached_property
-    def _low_rank(self) -> tuple[np.ndarray, np.ndarray]:
-        """``L = [B | A]`` and ``C = blockdiag(S_f, S_z)``."""
+    def _low_rank(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``L = [B | A]``, ``C`` and ``d`` with ``Sigma = L C L' + diag(d)``.
+
+        C is ``blockdiag(S_f, S_z)`` and d is v, except that the variance
+        of each singleton cluster moves from C onto its member's d.
+        """
         st = self.structured
         low = np.hstack([st.loadings, st.partition.membership.astype(np.float64)])
         r = st.factor_cov.shape[0]
         core = np.zeros((low.shape[1], low.shape[1]))
         core[:r, :r] = st.factor_cov
         core[r:, r:] = st.cluster_cov
-        return low, core
+        s = r + np.flatnonzero(np.array(st.partition.sizes) == 1)
+        d = st.idio_var + low[:, s] @ core[s, s]
+        core[s, s] = 0.0
+        return low, core, d
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``Sigma^-1 b`` for a length-p vector or a p x m matrix, in O(p (r + K)^2)."""
-        low, core = self._low_rank
-        return _woodbury_solve(
-            self.structured.idio_var, low, core, np.asarray(b, dtype=np.float64)
-        )
+        low, core, d = self._low_rank
+        return _woodbury_solve(d, low, core, np.asarray(b, dtype=np.float64))
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         """``Sigma w`` for a length-p vector, in O(p (r + K))."""
-        low, core = self._low_rank
-        return low @ (core @ (low.T @ w)) + self.structured.idio_var * w
+        low, core, d = self._low_rank
+        return low @ (core @ (low.T @ w)) + d * w
 
     def block(self, idx: np.ndarray) -> np.ndarray:
-        """``Sigma[idx, idx]`` from the rows ``L[idx]``, C and ``v[idx]``."""
-        low, core = self._low_rank
+        """``Sigma[idx, idx]`` from the rows ``L[idx]``, C and ``d[idx]``."""
+        low, core, d = self._low_rank
         rows = low[idx]
         out = rows @ core @ rows.T
-        out.flat[:: len(rows) + 1] += self.structured.idio_var[idx]
+        out.flat[:: len(rows) + 1] += d[idx]
         return out
 
     def diagonal(self) -> np.ndarray:
         """The variances ``diag(Sigma)``, in O(p (r + K)^2)."""
-        low, core = self._low_rank
-        return np.einsum("ij,ij->i", low @ core, low) + self.structured.idio_var
+        low, core, d = self._low_rank
+        return np.einsum("ij,ij->i", low @ core, low) + d
 
 
 def _woodbury_solve(
@@ -222,24 +231,23 @@ def assemble_from_structure(structured: StructuredCovariance) -> AssembledEstima
     Raises
     ------
     EstimationError
-        If any idiosyncratic variance falls below 1e-12 (message names
-        the series, and says so when it is alone in its cluster) or the
-        factor/cluster covariances are numerically singular.
+        If any diagonal entry d of the low-rank form falls below 1e-12
+        (message names the series) or the factor/cluster covariances are
+        numerically singular.
     """
-    v = structured.idio_var
-    if np.any(v < _MIN_IDIO_VAR):
-        i = int(np.argmin(v))
-        alone = structured.partition.sizes[structured.partition.labels[i]] == 1
+    est = AssembledEstimate(structured)
+    d = est._low_rank[2]
+    if np.any(d < _MIN_IDIO_VAR):
+        i = int(np.argmin(d))
         raise EstimationError(
             f"idiosyncratic variance of series {structured.series_names[i]!r} "
-            f"is {v[i]:.3g} (< {_MIN_IDIO_VAR:g}); series is explained exactly "
+            f"is {d[i]:.3g} (< {_MIN_IDIO_VAR:g}); series is explained exactly "
             "by the factors and cluster paths"
-            + ("; it is alone in its cluster, whose path is its own residual" if alone else "")
         )
     _check_conditioning(structured.cluster_cov, "cluster covariance")
     if structured.factor_cov.shape[0] > 0:
         _check_conditioning(structured.factor_cov, "factor covariance")
-    return AssembledEstimate(structured)
+    return est
 
 
 def assemble(fit: FactorFit, partition: ClusterPartition) -> AssembledEstimate:

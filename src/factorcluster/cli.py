@@ -81,7 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--clusters", type=int, default=None, help="number of clusters")
     simp.add_argument("--periods", type=int, default=None, help="number of periods")
     simp.add_argument("--mode", default="balanced", choices=("balanced", "imbalanced"))
-    simp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    simp.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="base seed (default: the config file's seed, else 0)",
+    )
     simp.add_argument("--reps", type=int, default=None, help="replications (default 5)")
     simp.add_argument("--delta", type=float, default=0.0)
     simp.add_argument("--cq", type=float, default=None)
@@ -221,33 +226,26 @@ def cmd_simulate(args) -> int:
             base = load_config_file(args.config)
         except FactorClusterError as exc:
             raise ValueError(str(exc)) from exc
-        base = replace(base, seed=args.seed) if args.seed != 0 else base
-        cells = (ExperimentCell(base.n_periods, base.p, base.n_clusters, base.mode),)
+        if not args.skip_experiment:
+            raise ValueError(
+                "--config needs --skip-experiment: the experiment table draws "
+                "default_config panels and cannot take the file's design"
+            )
+        cells = ()
     elif any(v is not None for v in explicit_dims):
         if not all(v is not None for v in explicit_dims):
             raise ValueError("--p, --clusters, --periods must be given together")
-        base = default_config(
-            p=args.p,
-            n_clusters=args.clusters,
-            n_periods=args.periods,
-            seed=args.seed,
-            mode=args.mode,
-        )
+        base = default_config(args.p, args.clusters, args.periods, mode=args.mode)
         cells = (ExperimentCell(args.periods, args.p, args.clusters, args.mode),)
     else:
         cells = DEFAULT_GRID
         first = cells[0]
-        base = default_config(
-            p=first.p,
-            n_clusters=first.n_clusters,
-            n_periods=first.n_periods,
-            seed=args.seed,
-            mode=first.mode,
-        )
+        base = default_config(first.p, first.n_clusters, first.n_periods, mode=first.mode)
+    seed = base.seed if args.seed is None else args.seed
 
     os.makedirs(args.out, exist_ok=True)
     for rep in range(reps):
-        config = replace(base, seed=replication_seed(args.seed, rep))
+        config = replace(base, seed=replication_seed(seed, rep))
         sim = generate(config)
         tag = f"r{rep + 1:02d}"
         save_panel_csv(sim.returns, os.path.join(args.out, f"returns_{tag}.csv"))
@@ -261,7 +259,7 @@ def cmd_simulate(args) -> int:
 
     if not args.skip_experiment:
         rows = run_experiment(
-            cells, n_reps=reps, base_seed=args.seed, delta=delta, c_q=c_q
+            cells, n_reps=reps, base_seed=seed, delta=delta, c_q=c_q
         )
         table = experiment_csv(rows)
         write_text_atomic(os.path.join(args.out, "experiment_results.csv"), table)

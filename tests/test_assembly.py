@@ -1,5 +1,7 @@
 """Covariance assembly, low-rank precision identities, norms, and bundles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,9 +158,9 @@ def test_assembly_rejects_tiny_idio_variance():
         assemble_from_structure(bad)
 
 
-def test_singleton_cluster_failure_names_the_series():
+def test_singleton_cluster_assembles_with_zero_idio_variance():
     # a singleton's cluster path is its own residual, leaving it no
-    # idiosyncratic variance
+    # idiosyncratic variance; its cluster variance carries the diagonal
     rng = np.random.default_rng(44)
     t_len, p = 60, 6
     times = tuple(f"2000-01-01T{k:05d}" for k in range(t_len))
@@ -166,8 +168,21 @@ def test_singleton_cluster_failure_names_the_series():
     returns = ReturnsPanel(times, tuple(f"s{i}" for i in range(p)), rng.normal(size=(t_len, p)))
     fit = fit_loadings(returns, FactorPanel(times, ("f1",), f))
     part = ClusterPartition.from_groups([(0, 1, 2), (3,), (4, 5)], p)
-    with pytest.raises(EstimationError, match="series 's3'.*alone in its cluster"):
-        assemble(fit, part)
+    est = assemble(fit, part)
+    assert est.structured.idio_var[3] == 0.0
+    sigma = est.sigma
+    assert np.abs(sigma - dense_oracle(est.structured)[0]).max() <= 1e-12
+    assert max_norm(sigma @ est.precision - np.eye(p)) <= 1e-8
+    b = rng.normal(size=(p, 2))
+    idx = np.array([1, 3, 4])
+    pairs = [
+        (est.solve(b), np.linalg.solve(sigma, b)),
+        (est.matvec(b[:, 0]), sigma @ b[:, 0]),
+        (est.block(idx), sigma[np.ix_(idx, idx)]),
+        (est.diagonal(), np.diag(sigma)),
+    ]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-10
 
 
 def test_assembly_rejects_singular_cluster_cov():
@@ -233,14 +248,26 @@ def test_dense_precisions_bitwise_equal_the_woodbury_inverse(p, k, r):
 
 @st.composite
 def estimates_and_right_hand_sides(draw):
-    """Structured estimates whose clusters all have 2 or more members."""
+    """Structured estimates with k clusters of 2 or more members and up to
+    p - 2k singleton clusters whose members have v = 0, as an estimated
+    singleton does."""
     p = draw(st.integers(3, 40))
     r = draw(st.integers(0, 3))
     k = draw(st.integers(1, p // 2))
+    n_single = draw(st.integers(0, p - 2 * k))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    labels = np.concatenate([np.arange(k), np.arange(k), rng.integers(0, k, size=p - 2 * k)])
+    labels = np.concatenate(
+        [
+            np.arange(k),
+            np.arange(k),
+            np.arange(k, k + n_single),
+            rng.integers(0, k, size=p - 2 * k - n_single),
+        ]
+    )
     rng.shuffle(labels)
-    est = assemble_from_structure(random_structure(rng, p, k, r, labels))
+    structured = random_structure(rng, p, k + n_single, r, labels)
+    v = np.where(labels >= k, 0.0, structured.idio_var)
+    est = assemble_from_structure(replace(structured, idio_var=v))
     return est, rng.normal(size=p), rng.normal(size=(p, 2))
 
 

@@ -167,7 +167,25 @@ def test_simulate_config_file(tmp_path):
     assert header == "date," + ",".join(f"S{i + 1:04d}" for i in range(9))
 
 
-def test_simulate_usage_errors_exit_2(tmp_path):
+def test_simulate_config_seed_is_the_base_seed(tmp_path):
+    from factorcluster.cli import main
+
+    panels = {}
+    for tag, seed, extra in (("a", 4, []), ("b", 9, []), ("c", 9, ["--seed", "4"])):
+        cfg = str(tmp_path / f"{tag}.cfg")
+        write_text_atomic(cfg, f"p = 9\nn_clusters = 3\nn_periods = 40\nseed = {seed}\n")
+        out = str(tmp_path / tag)
+        code = main(["simulate", "--config", cfg, "--out", out, "--reps", "1",
+                     "--skip-experiment", *extra])
+        assert code == 0
+        panels[tag] = read_bytes(os.path.join(out, "returns_r01.csv"))
+    assert panels["a"] != panels["b"]
+    assert panels["c"] == panels["a"]
+
+
+def test_simulate_usage_errors_exit_2(tmp_path, capsys):
+    from factorcluster.cli import main
+
     cfg = str(tmp_path / "dgp.cfg")
     write_text_atomic(cfg, "p = 9\nn_clusters = 3\nn_periods = 40\n")
     result = run_cli(
@@ -184,6 +202,13 @@ def test_simulate_usage_errors_exit_2(tmp_path):
     )
     assert result.returncode == 2
     assert "unknown key" in result.stderr
+    # the experiment table cannot take the file's design
+    write_text_atomic(cfg, "p = 9\nn_clusters = 3\nn_periods = 40\nz_scale = 6\n")
+    out = tmp_path / "w"
+    code = main(["simulate", "--config", cfg, "--out", str(out), "--reps", "1"])
+    assert code == 2
+    assert "--skip-experiment" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_backtest_cli_outputs_and_determinism(panels, tmp_path):

@@ -1,5 +1,5 @@
 """Hostile panels the estimator handles today: one cluster, no cluster
-signal, T barely above r, and near-duplicate series."""
+signal, T barely above r, a singleton cluster, and near-duplicate series."""
 
 from dataclasses import replace
 
@@ -11,14 +11,18 @@ from factorcluster.clustering import run_clustering_pipeline
 from factorcluster.errors import EstimationError
 from factorcluster.factors import fit_loadings
 from factorcluster.panel import ReturnsPanel
-from factorcluster.portfolio import min_var_unconstrained
+from factorcluster.portfolio import min_var_long_only, min_var_unconstrained
 from factorcluster.simulation import default_config, generate
 
 
-def fit_weights(sim):
+def fit_estimate(sim):
     fit = fit_loadings(sim.returns, sim.factors)
     partition = run_clustering_pipeline(fit.residuals).partition
-    est = assemble(fit, partition)
+    return partition, assemble(fit, partition)
+
+
+def fit_weights(sim):
+    partition, est = fit_estimate(sim)
     return partition, min_var_unconstrained(est.solve(np.ones(sim.returns.n_series)))
 
 
@@ -37,6 +41,20 @@ def test_degenerate_panels_fit_one_cluster(kwargs, seed):
     assert partition.n_clusters == 1
     assert np.all(np.isfinite(w))
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_t_is_r_plus_3_fits_with_a_singleton_cluster():
+    partition, est = fit_estimate(generate(default_config(60, 3, 8, seed=2)))
+    assert 1 in partition.sizes and partition.n_clusters == 2
+    for w in (min_var_unconstrained(est.solve(np.ones(60))), min_var_long_only(est)):
+        assert np.all(np.isfinite(w))
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_t_is_r_plus_3_refuses_more_clusters_than_t_minus_r():
+    # six cluster paths from T - r = 3 residual dimensions
+    with pytest.raises(EstimationError, match="cluster covariance is numerically singular"):
+        fit_estimate(generate(default_config(60, 3, 8, seed=0)))
 
 
 def test_near_duplicate_series_raise_naming_the_series():

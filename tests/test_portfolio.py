@@ -190,7 +190,7 @@ def test_long_only_returns_exact_solution_on_its_support(seed):
 
 @st.composite
 def cluster_estimates(draw):
-    """Structured estimates with no singleton cluster; a market factor
+    """Structured estimates, some with singleton clusters; a market factor
     (first loading column shifted by 1) keeps most optima off the full
     support."""
     structured = draw(estimates_and_right_hand_sides())[0].structured

@@ -252,12 +252,19 @@ def test_run_experiment_row_layout():
     assert [row.estimator for row in rows] == ["cluster", "sample"]
     cluster_row, sample_row = rows
     assert cluster_row.reps == 3
+    assert cluster_row.failures == 0
     assert cluster_row.freq_correct_k is not None
     assert cluster_row.ari_mean is not None
     assert sample_row.freq_correct_k is None
     assert sample_row.ari_mean is None
     assert cluster_row.wq_mean is not None and cluster_row.wq_mean > 0
     assert sample_row.prec_mean is not None  # T > p, invertible
+
+
+def test_run_experiment_estimates_singleton_clusters():
+    # about a quarter of these replications estimate a singleton cluster
+    rows = run_experiment([ExperimentCell(60, 12, 3)], n_reps=40)
+    assert [row.failures for row in rows] == [0, 0]
 
 
 def test_run_experiment_singular_sample_precision_left_empty():
