@@ -42,6 +42,7 @@ _EXPORTS = {
     "select_threshold": ".clustering",
     "cluster": ".clustering",
     "ClusteringResult": ".clustering",
+    "cluster_from_cov": ".clustering",
     "run_clustering_pipeline": ".clustering",
     "adjusted_rand_index": ".clustering",
     "DEFAULT_DELTA": ".clustering",

@@ -1,5 +1,19 @@
 """Covariance assembly and matrix norms.
 
+The third estimation stage reads the residual second moments
+S_u = U'U/T of the fit (``FactorFit.residual_cov``, the matrix the
+clustering stage already built). With membership matrix A, cluster
+sizes n_k and Abar = A diag(1/n_k), the cluster paths are
+z_t = Abar' u_t, so
+
+    S_z = Abar' S_u Abar,
+    v_i = S_ii - 2 (S_u Abar)_ik + (S_z)_kk   for series i in cluster k,
+
+in O(p^2 K) with no pass over the T x p residuals; v_i is exactly 0
+for the member of a singleton cluster. ``estimate_cluster_series``,
+``cluster_cov`` and ``idio_var`` compute the same quantities from the
+residuals themselves; they are the T x p reference forms.
+
 Given factor loadings B, factor covariance S_f, a partition with
 membership matrix A, cluster covariance S_z, and idiosyncratic
 variances S_e = diag(v), the assembled estimate
@@ -251,14 +265,26 @@ def assemble_from_structure(structured: StructuredCovariance) -> AssembledEstima
 
 
 def assemble(fit: FactorFit, partition: ClusterPartition) -> AssembledEstimate:
-    """Third estimation stage: cluster paths and checked components."""
-    z_hat, e_hat = estimate_cluster_series(fit.residuals, partition)
+    """Third estimation stage: S_z and v from ``fit.residual_cov``, then the checks.
+
+    The formulas are in the module docstring; the cost is O(p^2 K).
+    """
+    s_u = fit.residual_cov
+    if s_u.shape[0] != partition.n_series:
+        raise ValueError(
+            f"residuals have {s_u.shape[0]} series, partition has {partition.n_series}"
+        )
+    labels = partition.labels
+    a_bar = partition.membership / np.array(partition.sizes, dtype=np.float64)
+    s_ua = s_u @ a_bar
+    s_z = symmetrize(a_bar.T @ s_ua)
+    v = np.diag(s_u) - 2.0 * s_ua[np.arange(labels.size), labels] + np.diag(s_z)[labels]
     structured = StructuredCovariance(
         loadings=fit.loadings,
         factor_cov=fit.factor_cov,
         partition=partition,
-        cluster_cov=cluster_cov(z_hat),
-        idio_var=idio_var(e_hat),
+        cluster_cov=s_z,
+        idio_var=v,
         series_names=fit.series_names,
         factor_names=fit.factor_names,
     )

@@ -163,7 +163,7 @@ def _number_list(text: str, kind, flag: str) -> list:
 
 def cmd_estimate(args) -> int:
     from .assembly import assemble, save_bundle
-    from .clustering import run_clustering_pipeline
+    from .clustering import cluster_from_cov
     from .factors import fit_loadings
     from .panel import save_matrix_csv, write_text_atomic
 
@@ -171,7 +171,7 @@ def cmd_estimate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     returns, factors = _load_panels(args.returns, args.factors)
     fit = fit_loadings(returns, factors)
-    pipe = run_clustering_pipeline(fit.residuals, delta=delta, c_q=c_q)
+    pipe = cluster_from_cov(fit.residual_cov, delta=delta, c_q=c_q)
     est = assemble(fit, pipe.partition)
 
     save_bundle(est.structured, args.out)

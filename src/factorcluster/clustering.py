@@ -13,6 +13,11 @@ O(p^3) work is one compiled SciPy ``pdist`` call. A ratio rule on the
 sorted dissimilarities picks the threshold gamma, and the groups are
 the connected components of the threshold graph with edges
 ``{D_ij < gamma}``, which is the single-linkage cut at gamma.
+
+``cluster_from_cov`` runs these three steps on a given S; the
+estimator passes it ``FactorFit.residual_cov``, the one S_u of a fit,
+which the assembly stage reads too. ``run_clustering_pipeline`` builds
+S from a T x p residual array first.
 """
 
 from __future__ import annotations
@@ -223,19 +228,27 @@ class ClusteringResult:
     partition: ClusterPartition
 
 
-def run_clustering_pipeline(
-    residuals: np.ndarray,
+def cluster_from_cov(
+    cov: np.ndarray,
     delta: float = DEFAULT_DELTA,
     c_q: float = DEFAULT_CQ,
 ) -> ClusteringResult:
-    """Residual covariance -> dissimilarities -> threshold -> partition."""
-    cov = residual_cov(residuals)
+    """Dissimilarities -> threshold -> partition from a residual covariance S_u."""
     scod = scod_matrix(cov)
     selection = select_threshold(scod, delta=delta, c_q=c_q)
     partition = cluster(scod, selection.gamma)
     return ClusteringResult(
         residual_cov=cov, scod=scod, selection=selection, partition=partition
     )
+
+
+def run_clustering_pipeline(
+    residuals: np.ndarray,
+    delta: float = DEFAULT_DELTA,
+    c_q: float = DEFAULT_CQ,
+) -> ClusteringResult:
+    """Residual covariance -> dissimilarities -> threshold -> partition."""
+    return cluster_from_cov(residual_cov(residuals), delta=delta, c_q=c_q)
 
 
 def adjusted_rand_index(a, b) -> float:

@@ -3,15 +3,20 @@
 Each series is regressed on the factor panel without an intercept:
 ``b_i = (sum_t f_t f_t')^{-1} sum_t f_t y_it``. The factor covariance
 is the centered sample covariance with a ``1/(T-1)`` denominator;
-residuals keep the full panel shape for the clustering stage.
+residuals keep the full panel shape. ``FactorFit.residual_cov`` is
+their second-moment matrix S_u = U'U/T, built once on first access;
+the clustering stage (SCOD) and the assembly stage (S_z and S_e) both
+read it, so a fit makes no second T x p pass over its residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import clustering
 from .errors import EstimationError
 from .panel import FactorPanel, ReturnsPanel, symmetrize
 
@@ -39,6 +44,13 @@ class FactorFit:
     residuals: np.ndarray
     factor_names: tuple[str, ...]
     series_names: tuple[str, ...]
+
+    @cached_property
+    def residual_cov(self) -> np.ndarray:
+        """p x p read-only ``S_u = U'U / T`` of the residuals, built on first access."""
+        cov = clustering.residual_cov(self.residuals)
+        cov.setflags(write=False)
+        return cov
 
 
 def sample_factor_cov(factors: FactorPanel) -> np.ndarray:

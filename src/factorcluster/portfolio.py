@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import AssembledEstimate, SampleEstimate, assemble, sample_cov
-from .clustering import DEFAULT_CQ, DEFAULT_DELTA, run_clustering_pipeline
+from .clustering import DEFAULT_CQ, DEFAULT_DELTA, cluster_from_cov
 from .errors import EstimationError
 from .factors import fit_loadings
 from .panel import FactorPanel, ReturnsPanel, _format_rows, align, symmetrize
@@ -279,7 +279,7 @@ def _window_weights(
     try:
         if config.estimator == "cluster":
             fit = fit_loadings(window, factors.rows(start, stop))
-            pipe = run_clustering_pipeline(fit.residuals, delta=config.delta, c_q=config.c_q)
+            pipe = cluster_from_cov(fit.residual_cov, delta=config.delta, c_q=config.c_q)
             est = assemble(fit, pipe.partition)
         else:
             est = SampleEstimate(sample_cov(window.values), window.n_periods)

@@ -35,7 +35,7 @@ from .clustering import (
     DEFAULT_CQ,
     DEFAULT_DELTA,
     adjusted_rand_index,
-    run_clustering_pipeline,
+    cluster_from_cov,
 )
 from .errors import EstimationError, FactorClusterError
 from .factors import fit_loadings
@@ -504,7 +504,7 @@ def _replication(
         sim = generate(config)
         truth = sim.truth.assembled()
         fit = fit_loadings(sim.returns, sim.factors)
-        pipe = run_clustering_pipeline(fit.residuals, delta=delta, c_q=c_q)
+        pipe = cluster_from_cov(fit.residual_cov, delta=delta, c_q=c_q)
         cluster_loss = _losses(assemble(fit, pipe.partition), truth)
         sample = SampleEstimate(sample_cov(sim.returns.values), cell.n_periods)
         sample_loss = _losses(sample, truth)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from factorcluster import cli, clustering
 from factorcluster.assembly import (
     AssembledEstimate,
     SampleEstimate,
@@ -24,10 +25,18 @@ from factorcluster.assembly import (
     save_bundle,
     weighted_quadratic_norm,
 )
+from factorcluster.clustering import cluster_from_cov, residual_cov, run_clustering_pipeline
 from factorcluster.errors import EstimationError
 from factorcluster.factors import fit_loadings
-from factorcluster.panel import ClusterPartition, FactorPanel, ReturnsPanel, symmetrize
-from factorcluster.simulation import default_config, generate
+from factorcluster.panel import (
+    ClusterPartition,
+    FactorPanel,
+    ReturnsPanel,
+    save_panel_csv,
+    symmetrize,
+)
+from factorcluster.portfolio import BacktestConfig, _window_weights
+from factorcluster.simulation import ExperimentCell, _replication, default_config, generate
 
 
 def random_structure(rng, p, k, r, labels=None):
@@ -200,6 +209,14 @@ def test_assembly_rejects_singular_cluster_cov():
         assemble_from_structure(bad)
 
 
+def test_assembly_rejects_an_ill_conditioned_positive_definite_cluster_cov():
+    # smallest eigenvalue positive, condition number 2e12 >= the 1e12 bound
+    structured = random_structure(np.random.default_rng(37), 6, 3, 1, labels=[0, 0, 1, 1, 2, 2])
+    bad = replace(structured, cluster_cov=np.diag([1.0, 1.0, 5e-13]))
+    with pytest.raises(EstimationError, match=r"numerically singular \(condition number 2e\+12\)"):
+        assemble_from_structure(bad)
+
+
 def test_assemble_from_fit_end_to_end():
     rng = np.random.default_rng(36)
     t_len, p, r = 100, 8, 2
@@ -216,6 +233,74 @@ def test_assemble_from_fit_end_to_end():
     assert np.allclose(est.structured.cluster_cov, cluster_cov(z), atol=1e-12)
     assert np.allclose(est.structured.idio_var, idio_var(e), atol=1e-12)
     assert max_norm(est.sigma @ est.precision - np.eye(p)) < 1e-10
+    # the S_u forms against the T x p forms on random panels and
+    # partitions with four singleton clusters, at several scales
+    for seed, scale in ((0, 1.0), (1, 1.0), (2, 1e-4), (3, 1e3)):
+        rng = np.random.default_rng(seed)
+        t_len, p = 90, 30
+        times = tuple(f"2000-01-01T{k:05d}" for k in range(t_len))
+        f = rng.normal(size=(t_len, r))
+        y = scale * (rng.normal(size=(t_len, p)) + f @ rng.normal(size=(r, p)))
+        returns = ReturnsPanel(times, tuple(f"s{i}" for i in range(p)), y)
+        fit = fit_loadings(returns, FactorPanel(times, ("f1", "f2"), f))
+        labels = rng.integers(0, 5, size=p)
+        labels[rng.choice(p, size=4, replace=False)] = np.arange(5, 9)
+        part = ClusterPartition.from_labels(labels)
+        got = assemble(fit, part).structured
+        z, e = estimate_cluster_series(fit.residuals, part)
+        sz_ref, v_ref = cluster_cov(z), idio_var(e)
+        assert np.abs(got.cluster_cov - sz_ref).max() <= 1e-12 * np.abs(sz_ref).max()
+        assert np.abs(got.idio_var - v_ref).max() <= 1e-14 * np.diag(fit.residual_cov).max()
+        singles = [g[0] for g in part.groups if len(g) == 1]
+        assert len(singles) >= 4 and np.all(got.idio_var[singles] == 0.0)
+
+
+@pytest.fixture
+def residual_cov_calls(monkeypatch):
+    """Counts calls of ``clustering.residual_cov``, the S_u of a fit."""
+    calls = []
+    monkeypatch.setattr(clustering, "residual_cov", lambda u: calls.append(1) or residual_cov(u))
+    return calls
+
+
+def test_residual_cov_is_built_once_per_fit(residual_cov_calls):
+    sim = generate(default_config(30, 3, 80, seed=5))
+    fit = fit_loadings(sim.returns, sim.factors)
+    pipe = cluster_from_cov(fit.residual_cov)
+    est = assemble(fit, pipe.partition)
+    assert len(residual_cov_calls) == 1
+    assert pipe.residual_cov is fit.residual_cov and not fit.residual_cov.flags.writeable
+    assert np.array_equal(fit.residual_cov, residual_cov(fit.residuals))
+    again = run_clustering_pipeline(fit.residuals)
+    assert again.partition == pipe.partition
+    assert np.array_equal(again.residual_cov, pipe.residual_cov)
+    assert est.structured.cluster_cov.shape == (pipe.partition.n_clusters,) * 2
+
+
+@pytest.mark.parametrize("scheme", ["unconstrained", "long_only"])
+def test_one_residual_cov_per_backtest_window(residual_cov_calls, scheme):
+    sim = generate(default_config(30, 3, 100, seed=6))
+    config = BacktestConfig(train_window=80, scheme=scheme)
+    w = _window_weights(sim.returns, sim.factors, config, 10, 90)
+    assert len(residual_cov_calls) == 1
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_one_residual_cov_per_estimate_command(residual_cov_calls, tmp_path, capsys):
+    sim = generate(default_config(12, 3, 80, seed=41))
+    paths = [str(tmp_path / "returns.csv"), str(tmp_path / "factors.csv")]
+    save_panel_csv(sim.returns, paths[0])
+    save_panel_csv(sim.factors, paths[1])
+    argv = ["estimate", "--returns", paths[0], "--factors", paths[1], "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 0
+    assert len(residual_cov_calls) == 1
+    assert "clusters:" in capsys.readouterr().out
+
+
+def test_one_residual_cov_per_replication(residual_cov_calls):
+    out = _replication(ExperimentCell(n_periods=100, p=30, n_clusters=3), 7, 0.0, 0.95)
+    assert out is not None
+    assert len(residual_cov_calls) == 1
 
 
 def test_assembled_dense_matrices_are_built_on_first_access():

@@ -1,4 +1,9 @@
-"""End-to-end command-line runs in subprocesses: files, exit codes, determinism."""
+"""Command-line runs: files, exit codes, determinism.
+
+Determinism across ``--threads`` and one run per command go through a
+fresh ``python -m factorcluster.cli`` process; exit codes and messages
+are checked in-process through ``main``.
+"""
 
 import os
 import subprocess
@@ -7,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from factorcluster.cli import main
 from factorcluster.panel import save_panel_csv, write_text_atomic
 from factorcluster.simulation import default_config, generate
 
@@ -80,24 +86,20 @@ def test_estimate_is_deterministic_across_runs_and_threads(panels, tmp_path):
             assert read_bytes(os.path.join(out, name)) == blob, (out, name)
 
 
-def test_estimate_bad_input_exits_2(panels, tmp_path):
+def test_estimate_bad_input_exits_2(panels, tmp_path, capsys):
     _, factors_path = panels
     bad = str(tmp_path / "bad.csv")
     write_text_atomic(bad, "date,A,B\n2020-01-01,0.1\n")
-    result = run_cli(
-        "estimate", "--returns", bad, "--factors", factors_path,
-        "--out", str(tmp_path / "out"),
-    )
-    assert result.returncode == 2
-    assert "error:" in result.stderr
-    result = run_cli(
-        "estimate", "--returns", str(tmp_path / "absent.csv"),
-        "--factors", factors_path, "--out", str(tmp_path / "out"),
-    )
-    assert result.returncode == 2
+    code = main(["estimate", "--returns", bad, "--factors", factors_path,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    code = main(["estimate", "--returns", str(tmp_path / "absent.csv"),
+                 "--factors", factors_path, "--out", str(tmp_path / "out")])
+    assert code == 2
 
 
-def test_estimate_degenerate_panel_exits_1(panels, tmp_path):
+def test_estimate_degenerate_panel_exits_1(panels, tmp_path, capsys):
     _, factors_path = panels
     rng = np.random.default_rng(2)
     dates = [f"2020-02-{d + 1:02d}" for d in range(20)]
@@ -117,12 +119,10 @@ def test_estimate_degenerate_panel_exits_1(panels, tmp_path):
         + "\n".join(f"{d},{'%.17g' % f[i]}" for i, d in enumerate(dates))
         + "\n",
     )
-    result = run_cli(
-        "estimate", "--returns", twin, "--factors", factors20,
-        "--out", str(tmp_path / "out"),
-    )
-    assert result.returncode == 1
-    assert "error:" in result.stderr
+    code = main(["estimate", "--returns", twin, "--factors", factors20,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_simulate_panels_only(tmp_path):
@@ -168,8 +168,6 @@ def test_simulate_config_file(tmp_path):
 
 
 def test_simulate_config_seed_is_the_base_seed(tmp_path):
-    from factorcluster.cli import main
-
     panels = {}
     for tag, seed, extra in (("a", 4, []), ("b", 9, []), ("c", 9, ["--seed", "4"])):
         cfg = str(tmp_path / f"{tag}.cfg")
@@ -184,8 +182,6 @@ def test_simulate_config_seed_is_the_base_seed(tmp_path):
 
 
 def test_simulate_usage_errors_exit_2(tmp_path, capsys):
-    from factorcluster.cli import main
-
     cfg = str(tmp_path / "dgp.cfg")
     write_text_atomic(cfg, "p = 9\nn_clusters = 3\nn_periods = 40\n")
     result = run_cli(
@@ -243,25 +239,21 @@ def test_backtest_cluster_estimator_cli(panels, tmp_path):
     assert summary.splitlines()[1].startswith("cluster,unconstrained,20,")
 
 
-def test_backtest_without_history_exits_1(panels, tmp_path):
+def test_backtest_without_history_exits_1(panels, tmp_path, capsys):
     returns_path, factors_path = panels
-    result = run_cli(
-        "backtest", "--returns", returns_path, "--factors", factors_path,
-        "--out", str(tmp_path / "bt"),
-    )
+    code = main(["backtest", "--returns", returns_path, "--factors", factors_path,
+                 "--out", str(tmp_path / "bt")])
     # default window 504 exceeds the 80-row fixture
-    assert result.returncode == 1
-    assert "error:" in result.stderr
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
 
 
-def test_backtest_bad_flag_exits_2(panels, tmp_path):
+def test_backtest_bad_flag_exits_2(panels, tmp_path, capsys):
     returns_path, factors_path = panels
-    result = run_cli(
-        "backtest", "--returns", returns_path, "--factors", factors_path,
-        "--out", str(tmp_path / "bt"), "--window", 1,
-    )
-    assert result.returncode == 2
-    assert "train_window" in result.stderr
+    code = main(["backtest", "--returns", returns_path, "--factors", factors_path,
+                 "--out", str(tmp_path / "bt"), "--window", "1"])
+    assert code == 2
+    assert "train_window" in capsys.readouterr().err
 
 
 def test_diagnose_cli(panels, tmp_path):
@@ -285,24 +277,18 @@ def test_diagnose_cli(panels, tmp_path):
     assert read_bytes(os.path.join(str(tmp_path / "diag2"), "sparsity.csv")).decode() == table
 
 
-def test_diagnose_bad_arguments_exit_2(panels, tmp_path):
+def test_diagnose_bad_arguments_exit_2(panels, tmp_path, capsys):
     returns_path, factors_path = panels
-    result = run_cli(
-        "diagnose", "--returns", returns_path, "--factors", factors_path,
-        "--out", str(tmp_path / "d"), "--kappas", "0,zero",
-    )
-    assert result.returncode == 2
-    result = run_cli(
-        "diagnose", "--returns", returns_path, "--factors", factors_path,
-        "--out", str(tmp_path / "d"), "--p-grid", "4,99",
-    )
-    assert result.returncode == 2
-    assert "outside" in result.stderr
+    code = main(["diagnose", "--returns", returns_path, "--factors", factors_path,
+                 "--out", str(tmp_path / "d"), "--kappas", "0,zero"])
+    assert code == 2
+    code = main(["diagnose", "--returns", returns_path, "--factors", factors_path,
+                 "--out", str(tmp_path / "d"), "--p-grid", "4,99"])
+    assert code == 2
+    assert "outside" in capsys.readouterr().err
 
 
 def test_diagnose_bad_kappas_rejected_before_any_panel_is_read(tmp_path, capsys):
-    from factorcluster.cli import main
-
     out = tmp_path / "d"
     code = main(["diagnose", "--returns", str(tmp_path / "missing.csv"),
                  "--factors", str(tmp_path / "missing_f.csv"), "--out", str(out),
@@ -314,8 +300,6 @@ def test_diagnose_bad_kappas_rejected_before_any_panel_is_read(tmp_path, capsys)
 
 
 def test_simulate_zero_reps_exits_2_before_writing(tmp_path, capsys):
-    from factorcluster.cli import main
-
     out = tmp_path / "sim"
     code = main(["simulate", "--p", "6", "--clusters", "2", "--periods", "30",
                  "--reps", "0", "--out", str(out)])
@@ -331,8 +315,6 @@ def test_no_subcommand_exits_2():
 
 @pytest.mark.parametrize("value", ["0", "-1", "two"])
 def test_threads_below_one_is_a_usage_error(value, capsys):
-    from factorcluster.cli import main
-
     with pytest.raises(SystemExit) as exc:
         main(["--threads", value, "diagnose", "--returns", "r.csv",
               "--factors", "f.csv", "--out", "out"])
@@ -341,8 +323,6 @@ def test_threads_below_one_is_a_usage_error(value, capsys):
 
 
 def test_estimate_out_of_range_cq_exits_2(panels, tmp_path, capsys):
-    from factorcluster.cli import main
-
     returns_path, factors_path = panels
     code = main(["estimate", "--returns", returns_path, "--factors", factors_path,
                  "--out", str(tmp_path / "out"), "--cq", "1.5"])
@@ -351,8 +331,6 @@ def test_estimate_out_of_range_cq_exits_2(panels, tmp_path, capsys):
 
 
 def test_estimate_out_naming_a_file_exits_2(panels, tmp_path, capsys):
-    from factorcluster.cli import main
-
     returns_path, factors_path = panels
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -363,8 +341,6 @@ def test_estimate_out_naming_a_file_exits_2(panels, tmp_path, capsys):
 
 
 def test_estimate_rejects_out_naming_a_file_before_reading(tmp_path, capsys):
-    from factorcluster.cli import main
-
     taken = tmp_path / "taken"
     taken.write_text("")
     missing = str(tmp_path / "missing.csv")
@@ -374,8 +350,6 @@ def test_estimate_rejects_out_naming_a_file_before_reading(tmp_path, capsys):
 
 
 def test_estimate_rejects_cq_before_reading(tmp_path, capsys):
-    from factorcluster.cli import main
-
     missing = str(tmp_path / "missing.csv")
     code = main(["estimate", "--returns", missing, "--factors", missing,
                  "--out", str(tmp_path / "out"), "--cq", "1.5"])

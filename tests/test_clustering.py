@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import squareform
 
 from factorcluster.errors import EstimationError
 from factorcluster.factors import fit_loadings
@@ -334,6 +335,32 @@ def test_threshold_tie_takes_smallest_m():
     m = scod_from_values(4, [0.8, 0.4, 0.4, 0.2, 0.1, 0.05])
     sel = select_threshold(m, delta=0.0, c_q=1.0)
     assert sel.q_hat == 1
+
+
+def test_threshold_exact_tie_takes_smallest_m():
+    # with delta = 1 the shifted ratios are exact in binary: 2, 1, 2, 2, 1
+    sel = select_threshold(squareform([7.0, 3.0, 3.0, 1.0, 0.0, 0.0]), delta=1.0, c_q=1.0)
+    v = sel.sorted_values
+    assert np.array_equal((v[:-1] + 1.0) / (v[1:] + 1.0), [2.0, 1.0, 2.0, 2.0, 1.0])
+    assert sel.q_hat == 1 and sel.gamma == 7.0
+
+
+def test_threshold_regularizer_is_delta_itself_above_the_floor():
+    # ratios 2, 1, 2 - 6e-13, 2 + 6e-13, 1 with d = delta = 1: m = 4 wins;
+    # with d = delta + 1e-12 the ratio at m = 1 would win instead
+    sel = select_threshold(squareform([7.0, 3.0, 3.0, 1.0 + 6e-13, 0.0, 0.0]), delta=1.0, c_q=1.0)
+    assert sel.q_hat == 4
+
+
+def test_threshold_search_range_guards_rounding_in_cq_times_q():
+    # p = 25: c_q * Q = 0.07 * 300 evaluates to 21.000000000000004, and
+    # the range is m <= 21; the largest ratio, at m = 22, is outside it
+    assert 0.07 * 300 > 21
+    values = np.linspace(10.0, 9.0, 300)
+    values[22:] *= 0.1
+    sel = select_threshold(squareform(values), delta=0.0, c_q=0.07)
+    assert sel.q_hat == 21
+    assert select_threshold(squareform(values), delta=0.0, c_q=1.0).q_hat == 22
 
 
 def test_threshold_parameter_validation():

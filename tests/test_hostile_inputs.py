@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from factorcluster.assembly import assemble
-from factorcluster.clustering import run_clustering_pipeline
+from factorcluster.assembly import assemble, estimate_cluster_series, idio_var
+from factorcluster.clustering import cluster_from_cov
 from factorcluster.errors import EstimationError
 from factorcluster.factors import fit_loadings
 from factorcluster.panel import ReturnsPanel
@@ -17,7 +17,7 @@ from factorcluster.simulation import default_config, generate
 
 def fit_estimate(sim):
     fit = fit_loadings(sim.returns, sim.factors)
-    partition = run_clustering_pipeline(fit.residuals).partition
+    partition = cluster_from_cov(fit.residual_cov).partition
     return partition, assemble(fit, partition)
 
 
@@ -68,3 +68,30 @@ def test_near_duplicate_series_raise_naming_the_series():
         fit_weights(replace(sim, returns=returns))
     assert "explained exactly by the factors and cluster paths" in str(info.value)
     assert "alone in its cluster" not in str(info.value)
+
+
+def near_duplicate_panel(eps):
+    """Series 1 is series 0 plus eps times noise."""
+    sim = generate(default_config(60, 3, 300, seed=0))
+    values = sim.returns.values.copy()
+    noise = np.random.default_rng(0).standard_normal(values.shape[0])
+    values[:, 1] = values[:, 0] + eps * noise
+    return replace(sim, returns=ReturnsPanel(sim.returns.times, sim.returns.names, values))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5])
+def test_near_duplicate_series_fit_with_v_of_the_t_by_p_form(eps):
+    sim = near_duplicate_panel(eps)
+    partition, est = fit_estimate(sim)
+    fit = fit_loadings(sim.returns, sim.factors)
+    v_ref = idio_var(estimate_cluster_series(fit.residuals, partition)[1])
+    gap = np.abs(est.structured.idio_var - v_ref).max()
+    assert gap <= 1e-14 * np.diag(fit.residual_cov).max()
+    w = min_var_unconstrained(est.solve(np.ones(60)))
+    assert np.all(np.isfinite(w))
+
+
+def test_nearer_duplicate_series_refuse_naming_either_member():
+    # both members have the same v in exact arithmetic, so either name is right
+    with pytest.raises(EstimationError, match="series 'S000[12]'"):
+        fit_estimate(near_duplicate_panel(1e-6))

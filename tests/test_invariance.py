@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from factorcluster.assembly import assemble
-from factorcluster.clustering import run_clustering_pipeline
+from factorcluster.clustering import cluster_from_cov
 from factorcluster.factors import fit_loadings
 from factorcluster.panel import ClusterPartition, ReturnsPanel
 from factorcluster.simulation import default_config, generate
@@ -12,7 +12,7 @@ from factorcluster.simulation import default_config, generate
 
 def estimate(returns, factors):
     fit = fit_loadings(returns, factors)
-    partition = run_clustering_pipeline(fit.residuals).partition
+    partition = cluster_from_cov(fit.residual_cov).partition
     return partition, assemble(fit, partition)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcluster.assembly import assemble, assemble_from_structure, sample_cov
-from factorcluster.clustering import run_clustering_pipeline
+from factorcluster.clustering import cluster_from_cov
 from factorcluster.errors import EstimationError
 from factorcluster.factors import fit_loadings
 from factorcluster.panel import FactorPanel, ReturnsPanel
@@ -118,6 +118,16 @@ def test_long_only_hand_cases():
     sigma = np.array([[1.0, 1.5], [1.5, 4.0]])
     assert np.allclose(min_var_long_only(sigma), [1.0, 0.0], atol=1e-9)
     assert np.array_equal(min_var_long_only(np.array([[5.0]])), [1.0])
+
+
+def test_long_only_ties_go_to_the_smallest_index():
+    # a singular Sigma with many optima: the start is the first lowest-variance name
+    assert np.array_equal(min_var_long_only(np.array([[1.0, 1.0], [1.0, 1.0]])), [1.0, 0.0])
+    # series 1 and 2 are identical, so the entering name is the first of them
+    sigma = np.array([[0.5, 0.3, 0.3], [0.3, 1.0, 1.0], [0.3, 1.0, 1.0]])
+    w = min_var_long_only(sigma)
+    assert w[2] == 0.0
+    assert np.allclose(w, [7 / 9, 2 / 9, 0.0], rtol=0.0, atol=1e-12)
 
 
 def test_long_only_matches_exhaustive_oracle():
@@ -389,7 +399,7 @@ def _window_estimate(sim, start, stop):
     win_r = ReturnsPanel(r.times[start:stop], r.names, r.values[start:stop].copy())
     win_f = FactorPanel(f.times[start:stop], f.names, f.values[start:stop].copy())
     fit = fit_loadings(win_r, win_f)
-    return assemble(fit, run_clustering_pipeline(fit.residuals).partition)
+    return assemble(fit, cluster_from_cov(fit.residual_cov).partition)
 
 
 @pytest.mark.parametrize("scheme", ["unconstrained", "long_only"])
